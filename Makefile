@@ -11,10 +11,11 @@ TELEMETRY_STORE ?= /tmp/repro-telemetry-smoke
 CALIB_DIR ?= /tmp/repro-calib-smoke
 
 LINT_CACHE ?= /tmp/repro-lint-cache.json
+PERF_OUT ?= /tmp/repro-perf.jsonl
 
 .PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
 	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke \
-	engine-bench
+	engine-bench perf
 
 lint:
 	$(PYTHON) -m repro lint
@@ -103,5 +104,12 @@ calib-robust-smoke:
 engine-bench:
 	cd benchmarks && PYTHONPATH=$(CURDIR)/src \
 	  $(PYTHON) -m pytest -x -q bench_engine_speedup.py
+
+# Run the repository benchmark (benchmarks/perf/README.md): all four
+# workloads of BENCHMARK.json, each appending one JSON record to
+# $(PERF_OUT) for `benchmarks/perf/compare.py`.  Kept out of `check`: a
+# pass takes minutes and its timings want a quiet host.
+perf:
+	$(PYTHON) benchmarks/perf/run.py --out $(PERF_OUT)
 
 check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke engine-bench

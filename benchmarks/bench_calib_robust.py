@@ -16,8 +16,11 @@ from repro.calib import BUILTIN_MODELS, fit_platform, run_excitation
 
 from _harness import run_once
 
-#: The robust fit may cost at most this many clean fits (observed locally:
-#: ~2x; the ratio gate is immune to loaded CI hosts slowing both paths).
+#: The robust fit may cost at most this many clean fits (the ratio gate is
+#: immune to loaded CI hosts slowing both paths).  Measured as the
+#: `fit-degraded` / `fit-clean` `op_s.p50` ratio of `benchmarks/perf` on
+#: a 2-core x86-64 host: ~5.7x with a per-run Hampel loop, ~2.6x since one
+#: vectorised pass despikes every run of a channel.
 MAX_SLOWDOWN = 5.0
 
 

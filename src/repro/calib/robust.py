@@ -24,7 +24,6 @@ Everything is deterministic and pure-numpy; nothing here draws randomness.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import CalibrationError
 
@@ -64,31 +63,6 @@ def effective_samples(weights) -> float:
     return float(np.sum(np.asarray(weights, dtype=float)))
 
 
-def contiguous_runs(present) -> list[slice]:
-    """Maximal runs of ``True`` in a boolean mask, as slices."""
-    mask = np.asarray(present, dtype=bool)
-    runs: list[slice] = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append(slice(start, i))
-            start = None
-    if start is not None:
-        runs.append(slice(start, mask.size))
-    return runs
-
-
-def _rolling_median(values: np.ndarray, window: int) -> np.ndarray:
-    # Reflect (not edge) padding: replicating the boundary sample would let
-    # a spike sitting at a run edge dominate its own window median and
-    # escape detection — and sample-drop gaps create many run edges.
-    half = window // 2
-    padded = np.pad(values, half, mode="reflect")
-    return np.median(sliding_window_view(padded, window), axis=1)
-
-
 def hampel(
     values, window: int = 7, n_sigmas: float = 4.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,25 +72,64 @@ def hampel(
     rolling median by more than ``n_sigmas`` robust sigmas are replaced by
     that median.  NaNs pass through untouched and are never bridged — a
     spike next to a gap is judged only against its own contiguous run.
+
+    Each run of finite samples is filtered on its own: the window shrinks
+    to ``len | 1`` on short runs, is reflect-padded inside the run, and the
+    MAD scale is the run's own.  All runs are filtered together in a fixed
+    number of array operations (one median per distinct window width),
+    because sample drops cut a channel into dozens of short runs.
     """
     v = np.asarray(values, dtype=float).copy()
     flagged = np.zeros(v.size, dtype=bool)
     window = max(3, int(window)) | 1
-    for run in contiguous_runs(np.isfinite(v)):
-        seg = v[run]
-        if seg.size < 3:
-            # Too short to self-validate: a spike marooned between two gaps
-            # is indistinguishable from signal, so treat the whole fragment
-            # as suspect rather than let it through unchecked.
-            flagged[run] = True
-            continue
-        med = _rolling_median(seg, min(window, seg.size | 1))
-        dev = np.abs(seg - med)
-        scale = max(MAD_SCALE * float(np.median(dev)), 1e-9)
-        bad = dev > n_sigmas * scale
-        seg[bad] = med[bad]
-        v[run] = seg
-        flagged[run] = bad
+    finite = np.isfinite(v)
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], finite, [False]))))
+    starts = edges[::2]
+    lengths = edges[1::2] - starts
+    # Too short to self-validate: a spike marooned between two gaps is
+    # indistinguishable from signal, so treat the whole fragment as suspect
+    # rather than let it through unchecked.
+    flagged[np.flatnonzero(finite)[np.repeat(lengths < 3, lengths)]] = True
+
+    # Runs ordered by window width, so each width's samples form one slice.
+    widths = np.minimum(window, lengths | 1)
+    order = np.argsort(widths, kind="stable")
+    order = order[lengths[order] >= 3]
+    if order.size == 0:
+        return v, flagged
+    starts, lengths, widths = starts[order], lengths[order], widths[order]
+    run_id = np.repeat(np.arange(starts.size), lengths)
+    run_offsets = np.cumsum(lengths) - lengths
+    base = starts[run_id]
+    pos = np.arange(run_id.size) - run_offsets[run_id]
+    idx = base + pos
+
+    # Reflect (not edge) padding inside the run: replicating the boundary
+    # sample would let a spike sitting at a run edge dominate its own
+    # window median — and sample-drop gaps create many run edges.  Columns
+    # outside a narrower run's window are clipped into the run and unused.
+    half = window // 2
+    last = (lengths - 1)[run_id, None]
+    j = np.abs(pos[:, None] + np.arange(-half, half + 1))
+    windows = v[base[:, None] + np.clip(np.minimum(j, 2 * last - j), 0, last)]
+    med = np.empty(idx.size)
+    row_widths = widths[run_id]
+    for width in np.unique(widths):
+        lo, hi = np.searchsorted(row_widths, (width, width + 1))
+        cols = slice(half - width // 2, half + width // 2 + 1)
+        # np.median, not a sort: it picks the same signed zero on ties.
+        med[lo:hi] = np.median(windows[lo:hi, cols], axis=1)
+
+    dev = np.abs(v[idx] - med)
+    ordered = dev[np.lexsort((dev, run_id))]
+    mid = run_offsets + lengths // 2
+    run_mad = np.where(
+        lengths % 2 == 1, ordered[mid], (ordered[mid - 1] + ordered[mid]) / 2
+    )
+    scale = np.maximum(MAD_SCALE * run_mad, 1e-9)
+    bad = dev > n_sigmas * scale[run_id]
+    v[idx[bad]] = med[bad]
+    flagged[idx] = bad
     return v, flagged
 
 

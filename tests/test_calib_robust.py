@@ -12,6 +12,9 @@ instead of raising.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.calib import (
     BUILTIN_MODELS,
@@ -203,10 +206,106 @@ def test_huber_weights_shape():
     assert rb.effective_samples(w) == pytest.approx(2.1)
 
 
-def test_contiguous_runs():
-    runs = rb.contiguous_runs([True, True, False, True, False, False, True])
-    assert runs == [slice(0, 2), slice(3, 4), slice(6, 7)]
-    assert rb.contiguous_runs([False, False]) == []
+def _hampel_per_run(values, window=7, n_sigmas=4.0):
+    """Reference Hampel filter: one reflect-padded rolling median per run."""
+    v = np.asarray(values, dtype=float).copy()
+    flagged = np.zeros(v.size, dtype=bool)
+    window = max(3, int(window)) | 1
+    runs, start = [], None
+    for i, ok in enumerate(np.isfinite(v)):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            runs.append(slice(start, i))
+            start = None
+    if start is not None:
+        runs.append(slice(start, v.size))
+    for run in runs:
+        seg = v[run]
+        if seg.size < 3:
+            flagged[run] = True
+            continue
+        width = min(window, seg.size | 1)
+        padded = np.pad(seg, width // 2, mode="reflect")
+        med = np.median(sliding_window_view(padded, width), axis=1)
+        dev = np.abs(seg - med)
+        scale = max(rb.MAD_SCALE * float(np.median(dev)), 1e-9)
+        bad = dev > n_sigmas * scale
+        seg[bad] = med[bad]
+        v[run] = seg
+        flagged[run] = bad
+    return v, flagged
+
+
+# Runs of 1-8 samples rounded to 0.1 (so ties and both signed zeros
+# occur), each sample possibly carrying a +50 spike, between gaps of 0-3
+# NaN/inf samples (an empty gap merges two runs into a longer one).
+_samples = st.tuples(
+    st.integers(-20, 20), st.booleans(), st.booleans()
+).map(lambda s: (-1.0 if s[1] else 1.0) * (s[0] / 10) + (50.0 if s[2] else 0.0))
+_gaps = st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)
+
+
+@st.composite
+def _gappy_channels(draw):
+    values = draw(_gaps)
+    runs = st.lists(st.lists(_samples, min_size=1, max_size=8), max_size=16)
+    for run in draw(runs):
+        values += run + draw(_gaps)
+    return np.array(values[:80], dtype=float)
+
+
+@given(values=_gappy_channels(), window=st.sampled_from([1, 3, 5, 7, 8, 11]))
+# A spike replaced by the median of negative zeros: np.median returns +0.0
+# there, where taking the middle of a sorted window would give -0.0.
+@example(values=np.array([-0.0, -0.0, -0.0, 50.0, -0.0, -0.0, -0.0]), window=7)
+@settings(max_examples=300, deadline=None)
+def test_hampel_is_byte_equal_to_per_run_reference(values, window):
+    filtered, flagged = rb.hampel(values, window=window)
+    ref_filtered, ref_flagged = _hampel_per_run(values, window=window)
+    assert filtered.tobytes() == ref_filtered.tobytes()
+    assert flagged.tobytes() == ref_flagged.tobytes()
+
+
+@pytest.mark.parametrize("length, width", [(3, 3), (4, 5), (5, 5), (6, 7)])
+def test_hampel_window_shrinks_to_run_length(length, width):
+    run = np.array([5.0, 0.0, 9.0, 2.0, 7.0, 1.0])[:length]
+    channel = np.concatenate(([np.nan], run, [np.nan, 3.0, 3.0]))
+
+    def medians(w):
+        return np.median(
+            sliding_window_view(np.pad(run, w // 2, mode="reflect"), w), axis=1
+        )
+
+    # A negative threshold flags every sample, exposing the window medians.
+    filtered, flagged = rb.hampel(channel, window=7, n_sigmas=-1.0)
+    assert flagged[1 : 1 + length].all()
+    np.testing.assert_array_equal(filtered[1 : 1 + length], medians(width))
+    for other in {3, 5, 7} - {width}:
+        if other // 2 < length:
+            assert not np.array_equal(medians(other), medians(width))
+
+
+@pytest.mark.parametrize("values", [[], [np.nan] * 5], ids=["empty", "all-nan"])
+def test_hampel_without_samples_returns_unflagged_nans(values):
+    filtered, flagged = rb.hampel(values)
+    assert filtered.shape == flagged.shape == (len(values),)
+    assert np.isnan(filtered).all() and not flagged.any()
+
+
+def test_hampel_inf_splits_runs_like_nan():
+    v = 30.0 + np.sin(np.arange(20.0))
+    v[3] += 25.0
+    with_nan, with_inf = v.copy(), v.copy()
+    with_nan[[4, 9]] = np.nan
+    with_inf[[4, 9]] = [np.inf, -np.inf]
+    nan_filtered, nan_flagged = rb.hampel(with_nan)
+    inf_filtered, inf_flagged = rb.hampel(with_inf)
+    assert nan_flagged.tobytes() == inf_flagged.tobytes()
+    assert nan_flagged[3] and not nan_flagged[[4, 9]].any()
+    assert list(inf_filtered[[4, 9]]) == [np.inf, -np.inf]
+    finite = np.isfinite(with_nan)
+    assert nan_filtered[finite].tobytes() == inf_filtered[finite].tobytes()
 
 
 def test_hampel_replaces_and_flags_spikes():
