@@ -14,8 +14,7 @@ LINT_CACHE ?= /tmp/repro-lint-cache.json
 PERF_OUT ?= /tmp/repro-perf.jsonl
 
 .PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
-	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke \
-	engine-bench perf
+	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke perf
 
 lint:
 	$(PYTHON) -m repro lint
@@ -98,13 +97,6 @@ calib-robust-smoke:
 	cd benchmarks && PYTHONPATH=$(CURDIR)/src \
 	  $(PYTHON) -m pytest -x -q bench_calib_robust.py
 
-# Time the stacked batch stepper against the scalar engine on a
-# 64-scenario grid and assert byte-identical outputs plus the >=10x
-# per-scenario throughput floor (docs/ENGINE.md).
-engine-bench:
-	cd benchmarks && PYTHONPATH=$(CURDIR)/src \
-	  $(PYTHON) -m pytest -x -q bench_engine_speedup.py
-
 # Run the repository benchmark (benchmarks/perf/README.md): all four
 # workloads of BENCHMARK.json, each appending one JSON record to
 # $(PERF_OUT) for `benchmarks/perf/compare.py`.  Kept out of `check`: a
@@ -112,4 +104,4 @@ engine-bench:
 perf:
 	$(PYTHON) benchmarks/perf/run.py --out $(PERF_OUT)
 
-check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke engine-bench
+check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke

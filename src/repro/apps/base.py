@@ -57,17 +57,6 @@ class Application:
     def step(self, now_s: float, dt_s: float) -> None:
         """Called once per simulation tick, before the kernel runs."""
 
-    def steady(self) -> bool:
-        """True when every future :meth:`step` is a guaranteed no-op.
-
-        :class:`repro.sim.batch.BatchSimulation` only promotes a scenario
-        onto its vectorized fast path when all of its apps are steady —
-        i.e. the workload is a constant demand the scheduler has already
-        settled into.  The conservative default is ``False``; overriding it
-        incorrectly breaks batch/scalar byte-identity.
-        """
-        return False
-
     def on_cpu_complete(self, tag: tuple, now_s: float) -> None:
         """A tagged CPU work item of this app finished."""
 

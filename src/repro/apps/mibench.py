@@ -62,11 +62,6 @@ class BatchApp(Application):
         if self._task.backlog_cycles < backlog_cap:
             self._task.add_work(self._rate * 1e9 * dt_s)
 
-    def steady(self) -> bool:
-        # Unbounded batch work never steps: demand is a constant the
-        # scheduler expresses through the task's `unbounded` flag.
-        return self._rate is None
-
     def pids(self) -> list[int]:
         return [self._task.pid] if self._task is not None else []
 

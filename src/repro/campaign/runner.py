@@ -333,119 +333,6 @@ def _execute_payload(payload: dict) -> dict:
     }
 
 
-def _run_batched(
-    scenarios: "list[Scenario]", timeout_s: float | None
-) -> list[tuple[ScenarioResult, dict]]:
-    """Run a same-platform group through one stacked stepper.
-
-    The SIGALRM deadline (when available) covers the whole group and is
-    scaled by its size, so the per-run budget matches the scalar path.
-    """
-    from repro.sim.experiment import run_scenarios_batched
-
-    if not timeout_s or not hasattr(signal, "SIGALRM"):
-        return run_scenarios_batched(scenarios)
-
-    def _on_alarm(signum, frame):
-        raise _Timeout()
-
-    try:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-    except ValueError:  # not the main thread: alarms unavailable
-        return run_scenarios_batched(scenarios)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s * len(scenarios))
-    try:
-        return run_scenarios_batched(scenarios)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_batch_payload(payload: dict) -> list[dict]:
-    """Execute one same-platform group of runs through a stacked stepper.
-
-    Returns one summary per run, in group order, with the same schema as
-    :func:`_execute_payload` — the batched stepper is byte-identical to
-    the scalar path, so the store contents and telemetry cannot differ.
-    A group-wide failure falls back to executing each member alone, so a
-    single bad scenario only fails itself.
-    """
-    runs = payload["runs"]
-    store = ResultStore(payload["store_root"])
-    timeout_s = payload.get("timeout_s")
-    for item in runs:
-        store.record_attempt(item["key"])
-    if payload.get("allow_fault_injection"):
-        victim = os.environ.get(FAULT_ENV)
-        if victim is not None and any(item["run_id"] == victim for item in runs):
-            os._exit(17)  # simulate a hard worker crash (test hook)
-    started = _wall_clock_s()
-
-    def _fallback() -> list[dict]:
-        # Attempts were recorded above; _execute_payload records again and
-        # clears per member, leaving the same end state as a scalar wave.
-        return [
-            _execute_payload(
-                {
-                    "run_id": item["run_id"],
-                    "key": item["key"],
-                    "scenario": item["scenario"],
-                    "store_root": payload["store_root"],
-                    "timeout_s": timeout_s,
-                    "allow_fault_injection": False,
-                }
-            )
-            for item in runs
-        ]
-
-    try:
-        scenarios = [Scenario.from_dict(item["scenario"]) for item in runs]
-        pairs = _run_batched(scenarios, timeout_s)
-    except _Timeout:
-        elapsed = (_wall_clock_s() - started) / len(runs)
-        summaries = []
-        for item in runs:
-            store.clear_attempts(item["key"])
-            summaries.append(
-                {
-                    "run_id": item["run_id"],
-                    "key": item["key"],
-                    "status": "failed",
-                    "elapsed_s": elapsed,
-                    "failure": {
-                        "kind": "timeout",
-                        "error_type": "Timeout",
-                        "message": (
-                            f"batched group of {len(runs)} exceeded its "
-                            f"{timeout_s * len(runs):g} s deadline"
-                        ),
-                        "fault_plan": (item["scenario"].get("faults") or {}).get(
-                            "name"
-                        ),
-                    },
-                }
-            )
-        return summaries
-    except Exception:
-        return _fallback()
-    elapsed = (_wall_clock_s() - started) / len(runs)
-    summaries = []
-    for item, scenario, (result, telemetry) in zip(runs, scenarios, pairs):
-        store.save(item["key"], scenario, result, telemetry=telemetry)
-        store.clear_attempts(item["key"])
-        summaries.append(
-            {
-                "run_id": item["run_id"],
-                "key": item["key"],
-                "status": "completed",
-                "elapsed_s": elapsed,
-                "result": result.to_dict(),
-                "telemetry": telemetry,
-            }
-        )
-    return summaries
-
-
 # ----------------------------------------------------------------- runner
 
 
@@ -460,7 +347,6 @@ class CampaignRunner:
         timeout_s: float | None = None,
         metrics: MetricsRegistry | None = None,
         observer=None,
-        batch: bool = False,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
@@ -470,11 +356,6 @@ class CampaignRunner:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.jobs = jobs
         self.timeout_s = timeout_s
-        #: Pack same-platform cache misses into stacked steppers
-        #: (:class:`repro.sim.batch.BatchSimulation`) inside each worker.
-        #: Purely an execution strategy: stores, results and telemetry are
-        #: byte-identical to ``batch=False`` at any ``jobs`` count.
-        self.batch = batch
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Progress hook (:class:`~repro.obs.telemetry.CampaignObserver`
         #: protocol) — e.g. the ``--watch`` dashboard.  Optional.
@@ -628,81 +509,12 @@ class CampaignRunner:
                 )
         return aggregator.aggregate()
 
-    def _batch_payload(self, group: list[CampaignRun], allow_fault: bool) -> dict:
-        return {
-            "runs": [
-                {
-                    "run_id": run.run_id,
-                    "key": self.key_of(run),
-                    "scenario": run.scenario.to_dict(),
-                }
-                for run in group
-            ],
-            "store_root": str(self.store.root),
-            "timeout_s": self.timeout_s,
-            "allow_fault_injection": allow_fault,
-        }
-
-    def _batch_groups(self, runs: list[CampaignRun]) -> list[list[CampaignRun]]:
-        """Partition a wave into same-platform groups for stacked stepping.
-
-        Grid order is preserved within each group and groups appear in
-        first-platform order, so the partition is deterministic.  Each
-        platform's group is split into contiguous chunks when there are
-        spare workers, trading some stacking width for parallelism.
-        """
-        by_platform: dict[str, list[CampaignRun]] = {}
-        for run in runs:
-            by_platform.setdefault(run.scenario.platform, []).append(run)
-        chunks_per_group = max(1, self.jobs // max(1, len(by_platform)))
-        groups: list[list[CampaignRun]] = []
-        for members in by_platform.values():
-            n_chunks = min(chunks_per_group, len(members))
-            size = -(-len(members) // n_chunks)
-            for i in range(0, len(members), size):
-                groups.append(members[i : i + size])
-        return groups
-
-    def _run_wave_batched(self, runs: list[CampaignRun]) -> tuple[list[dict], bool]:
-        """One fan-out with same-platform groups stacked per worker."""
-        groups = self._batch_groups(runs)
-        if self.jobs == 1:
-            summaries: list[dict] = []
-            for group in groups:
-                for _ in group:
-                    self._m_started.inc()
-                summaries.extend(
-                    _execute_batch_payload(self._batch_payload(group, False))
-                )
-            return summaries, False
-        summaries = []
-        broken = False
-        workers = min(self.jobs, len(groups))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for group in groups:
-                futures.append(
-                    pool.submit(
-                        _execute_batch_payload, self._batch_payload(group, True)
-                    )
-                )
-                for _ in group:
-                    self._m_started.inc()
-            for future in futures:
-                try:
-                    summaries.extend(future.result())
-                except BrokenProcessPool:
-                    broken = True
-        return summaries, broken
-
     def _run_wave(self, runs: list[CampaignRun]) -> tuple[list[dict], bool]:
         """One fan-out over the pool (or inline for jobs=1).
 
         Returns the collected summaries and whether the pool broke (a
         worker died); lost runs are resolved by the caller via the store.
         """
-        if self.batch:
-            return self._run_wave_batched(runs)
         if self.jobs == 1:
             summaries = []
             for run in runs:
@@ -848,7 +660,6 @@ class CampaignRunner:
             "repro_version": _repro_version(),
             "jobs": self.jobs,
             "timeout_s": self.timeout_s,
-            "batch": self.batch,
             "spec": self.spec.to_dict(),
             "summary": report.summary(),
             "runs": {record.run_id: record.to_dict() for record in report.records},

@@ -318,15 +318,13 @@ def _load_campaign_spec(args: argparse.Namespace):
 
 
 def _campaign_runner(args: argparse.Namespace, jobs: int = 1,
-                     timeout_s: float | None = None, observer=None,
-                     batch: bool = False):
+                     timeout_s: float | None = None, observer=None):
     from repro.campaign import CampaignRunner, ResultStore
 
     spec = _load_campaign_spec(args)
     store = ResultStore(args.store)
     return CampaignRunner(
         spec, store, jobs=jobs, timeout_s=timeout_s, observer=observer,
-        batch=batch,
     )
 
 
@@ -354,7 +352,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
     runner = _campaign_runner(
         args, jobs=args.jobs, timeout_s=args.timeout, observer=observer,
-        batch=args.batch,
     )
     if args.resume and runner.store.load_campaign_manifest(runner.spec.name) is None:
         raise SystemExit(
@@ -834,10 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "run":
             cmd.add_argument("--jobs", type=int, default=1,
                              help="worker processes (1 = run in-process)")
-            cmd.add_argument("--batch", action="store_true",
-                             help="stack same-platform runs into one "
-                                  "vectorized stepper per worker "
-                                  "(byte-identical to the scalar path)")
             cmd.add_argument("--timeout", type=float, default=None,
                              help="per-run wall-clock timeout in seconds")
             cmd.add_argument("--resume", action="store_true",

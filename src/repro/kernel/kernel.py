@@ -583,19 +583,7 @@ class Kernel:
         return {name: p.cur_freq_hz for name, p in self.policies.items()}
 
     def tick(self, now_s: float, dt_s: float) -> KernelTickResult:
-        """Advance the OS by one simulation step.
-
-        Composed from the four phase methods below; the batch stepper calls
-        them individually to complete a tick exactly after a mid-tick
-        demotion from its vectorized fast path.
-        """
-        self._phase_governors(now_s)
-        self._phase_zones(now_s)
-        self._phase_daemons(now_s)
-        return self._phase_work(now_s, dt_s)
-
-    def _phase_governors(self, now_s: float) -> None:
-        """Poll governor timers and run the due DVFS governors."""
+        """Advance the OS by one simulation step."""
         for domain, timer in self._governor_timers.items():
             if timer.poll():
                 policy = self.policies[domain]
@@ -613,9 +601,6 @@ class Kernel:
                 # frequency or it did not; no arithmetic dust can creep in.
                 if policy.cur_freq_hz != before_hz:  # repro-lint: disable=R401
                     self._m_gov_freq_changes[domain].inc()
-
-    def _phase_zones(self, now_s: float) -> None:
-        """Poll thermal-zone timers and run the due zone polls."""
         for name, timer in self._zone_timers.items():
             if timer.poll():
                 if self.zones[name].governor is not None:
@@ -623,15 +608,9 @@ class Kernel:
                         self.zones[name].poll(now_s)
                 else:
                     self.zones[name].poll(now_s)
-
-    def _phase_daemons(self, now_s: float) -> None:
-        """Run the due registered daemons."""
         for _, timer, fn in self._daemons:
             if timer.poll():
                 fn(now_s)
-
-    def _phase_work(self, now_s: float, dt_s: float) -> KernelTickResult:
-        """Cooling scan, scheduling, GPU, and DVFS/idle accounting."""
         for device in self.cooling_devices:
             last = self._cooling_states.get(device.name)
             cur = device.cur_state

@@ -3,10 +3,9 @@
 ``Simulation(profile=True)`` wraps every :meth:`Simulation.step` in a
 :class:`StepProfiler`: the whole step is timed, and each phase of the step
 (``apps``, ``kernel``, ``power_assemble``, ``thermal``, ``power_model``,
-``record`` — plus ``thermal_exact`` and ``batch_sync`` in the batched
-engine) accumulates its own wall-clock total.  The resulting :class:`ProfileReport` says where
-the time goes — the measurement substrate any optimisation of the hot loop
-must be benchmarked against.
+``record``) accumulates its own wall-clock total.  The resulting
+:class:`ProfileReport` says where the time goes — the measurement substrate
+any optimisation of the hot loop must be benchmarked against.
 
 Phases may be entered several times per step (the power-model phase brackets
 the thermal integration); totals simply accumulate.  The profiler is
@@ -24,17 +23,13 @@ from repro.units import seconds_to_microseconds, seconds_to_milliseconds
 
 #: The canonical phases of one :meth:`Simulation.step`, in execution order.
 #: ``power_assemble`` (activity construction + rail summation) and
-#: ``power_model`` (sensor/energy/DAQ feeds) bracket the scalar power path;
-#: ``thermal_exact`` and ``batch_sync`` are entered only by
-#: :class:`repro.sim.batch.BatchSimulation`'s vectorized fast path.
+#: ``power_model`` (sensor/energy/DAQ feeds) bracket the power path.
 STEP_PHASES = (
     "apps",
     "kernel",
     "power_assemble",
     "thermal",
-    "thermal_exact",
     "power_model",
-    "batch_sync",
     "record",
 )
 

@@ -172,34 +172,25 @@ class Simulation:
                 self._dispatch(kres.completed_cpu_tags, gpu=False, now_s=now)
                 self._dispatch(kres.gpu.completed_tags, gpu=True, now_s=now)
 
-            self._finish_tick(now, dt, kres)
+            with self._ph_assemble:
+                rail_watts, soc_watts, battery_w = self.power_stage.assemble(kres)
 
-    def _finish_tick(self, now: float, dt: float, kres) -> None:
-        """Power assembly through clock advance: the post-kernel half-tick.
+            with self._ph_thermal:
+                self.thermal.step(rail_watts)
 
-        Split out of :meth:`step` so the batch stepper can complete a tick
-        exactly after demoting a scenario from its vectorized fast path
-        mid-tick (apps + kernel already ran for that tick).
-        """
-        with self._ph_assemble:
-            rail_watts, soc_watts, battery_w = self.power_stage.assemble(kres)
+            with self._ph_power:
+                self.kernel.update_power_readings(soc_watts, dt)
+                self.energy.accumulate(rail_watts, dt)
+                if self.daq is not None:
+                    self.daq.capture(now, dt, battery_w)
+                if self.battery is not None:
+                    self.battery.drain(battery_w, dt)
 
-        with self._ph_thermal:
-            self.thermal.step(rail_watts)
-
-        with self._ph_power:
-            self.kernel.update_power_readings(soc_watts, dt)
-            self.energy.accumulate(rail_watts, dt)
-            if self.daq is not None:
-                self.daq.capture(now, dt, battery_w)
-            if self.battery is not None:
-                self.battery.drain(battery_w, dt)
-
-        with self._ph_record:
-            self._m_steps.inc()
-            if self._record_timer.poll():
-                self._record(now, kres, rail_watts, battery_w)
-            self.clock.advance()
+            with self._ph_record:
+                self._m_steps.inc()
+                if self._record_timer.poll():
+                    self._record(now, kres, rail_watts, battery_w)
+                self.clock.advance()
 
     def _record(self, now, kres, rail_watts, battery_w) -> None:
         max_temp_c = kelvin_to_celsius(self.thermal.max_temperature_k())

@@ -22,7 +22,7 @@ defaults to the platform definition's ``software.t_limit_c``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -256,13 +256,7 @@ class Scenario:
         )
         return result, snapshot
 
-    def _build(self) -> "_BuiltScenario":
-        """Construct the simulation without running it.
-
-        The pre-run half of :meth:`_execute`, split out so
-        :func:`run_scenarios_batched` can assemble many scenarios and advance
-        them together through one :class:`repro.sim.batch.BatchSimulation`.
-        """
+    def _execute(self) -> tuple[Simulation, ScenarioResult]:
         platform = self._platform()
         apps = [spec.build() for spec in self.apps]
         sim = Simulation(
@@ -285,12 +279,10 @@ class Scenario:
         if self.faults is not None:
             controller = FaultController(self.faults, sim, governor=governor)
             controller.attach()
-        return _BuiltScenario(self, platform, apps, sim, governor, controller)
-
-    def _execute(self) -> tuple[Simulation, ScenarioResult]:
-        built = self._build()
-        built.sim.run(self.duration_s)
-        return built.sim, built.finalize()
+        sim.run(self.duration_s)
+        if controller is not None:
+            controller.finalize(sim.clock.now)
+        return sim, self._summarize(platform, apps, sim, governor, controller)
 
     def _summarize(self, platform, apps, sim, governor, controller) -> ScenarioResult:
         """Reduce a finished simulation to a :class:`ScenarioResult`."""
@@ -328,58 +320,6 @@ class Scenario:
             faults_injected=faults_injected,
             failsafe_s=failsafe_s,
         )
-
-
-@dataclass
-class _BuiltScenario:
-    """A scenario assembled but not yet run (see :meth:`Scenario._build`)."""
-
-    scenario: Scenario
-    platform: object
-    apps: list
-    sim: Simulation
-    governor: object | None
-    controller: object | None
-
-    def finalize(self) -> ScenarioResult:
-        """Close out a finished run and reduce it to a result."""
-        if self.controller is not None:
-            self.controller.finalize(self.sim.clock.now)
-        return self.scenario._summarize(
-            self.platform, self.apps, self.sim, self.governor, self.controller
-        )
-
-    def snapshot(self) -> dict:
-        """The deterministic telemetry snapshot (as in ``run_instrumented``)."""
-        return self.sim.metrics.snapshot(
-            as_of_s=self.sim.clock.now, include_wall_clock=False
-        )
-
-
-def run_scenarios_batched(
-    scenarios: "Sequence[Scenario]", fast: bool = True
-) -> list[tuple[ScenarioResult, dict]]:
-    """Run many scenarios through one stacked stepper.
-
-    Builds every scenario's simulation up front and advances them together
-    with :class:`repro.sim.batch.BatchSimulation`, which vectorizes the
-    thermal integration (and, for steady stretches, the whole tick) across
-    members while guaranteeing byte-identical traces, deterministic metrics
-    and DAQ samples versus running each scenario alone.  Scenarios whose
-    kernels carry daemons — the ``proposed`` governor, fault controllers —
-    are stepped scalar inside the batch and remain exactly reproducible.
-
-    Returns one ``(result, snapshot)`` pair per scenario, in input order,
-    identical to calling :meth:`Scenario.run_instrumented` on each.
-    """
-    from repro.sim.batch import BatchSimulation
-
-    if not scenarios:
-        return []
-    built = [scenario._build() for scenario in scenarios]
-    batch = BatchSimulation([b.sim for b in built], fast=fast)
-    batch.run_each([scenario.duration_s for scenario in scenarios])
-    return [(b.finalize(), b.snapshot()) for b in built]
 
 
 def compare_policies(

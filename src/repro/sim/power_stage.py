@@ -1,11 +1,9 @@
 """Per-tick power assembly: kernel activity + temperatures → rail watts.
 
-Extracted from the body of :meth:`Simulation.step` so the same contract has
-one scalar implementation here and one vectorized implementation in
-:mod:`repro.sim.batch`.  The stage owns preallocated
-:class:`~repro.soc.power_model.ComponentActivity` instances and reuses its
-output dicts, so a tick is attribute stores plus one ``rail_powers`` call
-instead of dataclass-and-dict churn.
+The power-assembly phase of :meth:`Simulation.step`.  The stage owns
+preallocated :class:`~repro.soc.power_model.ComponentActivity` instances and
+reuses its output dicts, so a tick is attribute stores plus one
+``rail_powers`` call instead of dataclass-and-dict churn.
 
 The arithmetic is intentionally byte-identical to the historical inline
 block: activity values, the memory-activity proxy, the rail summation

@@ -1,7 +1,6 @@
 """Thermal substrate: RC networks, state-space simulation, sensors."""
 
 from repro.thermal.describe import describe_network
-from repro.thermal.faults import DroppingSensor, SpikySensor, StuckSensor
 from repro.thermal.model import ThermalModel
 from repro.thermal.rc_network import (
     AMBIENT,
@@ -13,11 +12,8 @@ from repro.thermal.sensors import SensorSpec, TemperatureSensor
 
 __all__ = [
     "AMBIENT",
-    "DroppingSensor",
     "describe_network",
     "SensorSpec",
-    "SpikySensor",
-    "StuckSensor",
     "TemperatureSensor",
     "ThermalLinkSpec",
     "ThermalModel",

@@ -117,35 +117,6 @@ class ThermalModel:
         return self._integrator
 
     @property
-    def discrete_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The discretised ``(Ad, Bd, wd)`` of ``T' = Ad·T + Bd·P + wd·T_amb``.
-
-        These are the live arrays (not copies): callers such as
-        :class:`repro.sim.batch.BatchSimulation` compare and reuse them
-        across stacked scenarios but must not mutate them.
-        """
-        return self._ad, self._bd, self._wd
-
-    def adopt_state(self, row: np.ndarray) -> None:
-        """Rebind the node-temperature vector to externally owned storage.
-
-        ``row`` (shape ``(n_nodes,)``, typically a row view of a stacked
-        ``(N, nodes)`` batch state) receives the current temperatures and
-        becomes the live state: sensors attached to this model keep reading
-        current values while a batch stepper updates the row in place.
-        """
-        if row.shape != self._state.shape:
-            raise SimulationError(
-                f"state shape mismatch: {row.shape} != {self._state.shape}"
-            )
-        row[:] = self._state
-        self._state = row
-
-    def detach_state(self) -> None:
-        """Give the model back its own state storage (undoes adopt_state)."""
-        self._state = self._state.copy()
-
-    @property
     def node_names(self) -> tuple[str, ...]:
         """State-vector node order."""
         return self._nodes
@@ -224,18 +195,6 @@ class ThermalModel:
         """Advance one step with the given per-rail powers held constant."""
         p = self._power_vector(rail_powers)
         self._state = self._ad @ self._state + self._bd @ p + self._wd * self._ambient_k
-
-    def step_in_place(self, p: np.ndarray) -> None:
-        """Advance one step from a prebuilt power vector, updating in place.
-
-        The batch stepper's hot path: ``p`` is already in rail order (no
-        dict mapping, no validation) and the state array object is preserved
-        so external row views stay live.  The arithmetic is exactly
-        :meth:`step`'s.
-        """
-        self._state[:] = (
-            self._ad @ self._state + self._bd @ p + self._wd * self._ambient_k
-        )
 
     def temperature_k(self, node: str) -> float:
         """Current temperature of ``node`` in kelvin."""

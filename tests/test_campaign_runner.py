@@ -198,60 +198,3 @@ def test_status_and_results_do_not_execute(tmp_path):
     results = fresh.results()
     assert set(results) == {run.run_id for run in fresh.runs}
     assert all(res.peak_temp_c > 20.0 for res in results.values())
-
-
-def test_batch_mode_stores_are_byte_identical(tmp_path):
-    """--batch is pure execution strategy: stores match the scalar path
-    bit for bit at any jobs count, and the cache contract is unchanged."""
-    spec = grid_spec(name="batched")
-    scalar = CampaignRunner(spec, tmp_path / "scalar", jobs=1)
-    assert scalar.run().ok
-
-    inline = CampaignRunner(spec, tmp_path / "inline", jobs=1, batch=True)
-    assert inline.run().ok
-    pooled = CampaignRunner(spec, tmp_path / "pooled", jobs=4, batch=True)
-    assert pooled.run().ok
-
-    reference = store_bytes(scalar.store)
-    assert len(reference) == 12
-    assert reference == store_bytes(inline.store)
-    assert reference == store_bytes(pooled.store)
-
-    # A batched campaign fills the same cache a scalar re-run reads.
-    again = CampaignRunner(spec, tmp_path / "pooled", jobs=2)
-    report = again.run()
-    assert report.ok and report.count("cached") == 12
-
-
-def test_batch_group_failure_falls_back_to_members(tmp_path, monkeypatch):
-    """A poisoned batched group must fail only the bad member; the rest
-    of the group completes through the per-member fallback."""
-    import repro.campaign.runner as runner_mod
-
-    spec = grid_spec(name="batch-raiser", seeds=(1,))
-    runner = CampaignRunner(spec, tmp_path, jobs=1, batch=True)
-    doomed = runner.runs[0].scenario
-
-    real = runner_mod._run_scenario
-
-    def flaky(scenario, timeout_s):
-        if scenario == doomed:
-            raise SimulationError("thermal runaway in the model")
-        return real(scenario, timeout_s)
-
-    real_batched = runner_mod._run_batched
-
-    def batched_boom(scenarios, timeout_s):
-        if any(s == doomed for s in scenarios):
-            raise SimulationError("group poisoned")
-        return real_batched(scenarios, timeout_s)
-
-    monkeypatch.setattr(runner_mod, "_run_batched", batched_boom)
-    monkeypatch.setattr(runner_mod, "_run_scenario", flaky)
-    report = runner.run()
-    by_id = {r.run_id: r for r in report.records}
-    failed = by_id[runner.runs[0].run_id]
-    assert failed.status == "failed"
-    assert failed.failure.error_type == "SimulationError"
-    assert report.summary()["completed"] == 3
-    assert not runner.store.has(runner.key_of(runner.runs[0]))

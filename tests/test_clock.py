@@ -117,8 +117,8 @@ def test_ticks_for_duration_is_float_dust_proof():
     # to accumulated float error; the counted loop must not.
     assert ticks_for_duration(100.0, 1e-4) == 10**6
     # Chunked scheduling sums to exactly the one-shot count, whatever the
-    # chunk size — the invariant Simulation.run and BatchSimulation rely
-    # on for continuation runs.
+    # chunk size — the invariant Simulation.run relies on for
+    # continuation runs.
     for chunk, n in ((0.1, 1000), (0.25, 400), (1.0, 100)):
         assert sum(ticks_for_duration(chunk, 1e-4) for _ in range(n)) == 10**6
     # Representative awkward dt: 0.01 is not a binary float, so repeated

@@ -1,10 +1,8 @@
-"""docs/ENGINE.md must match the engine and batch stepper it describes."""
+"""docs/ENGINE.md must match the engine it describes."""
 
 import pathlib
 import re
 
-from repro.obs.profiler import STEP_PHASES
-from repro.sim import batch
 from repro.thermal.model import ThermalModel
 
 DOC = pathlib.Path(__file__).parent.parent / "docs" / "ENGINE.md"
@@ -22,47 +20,6 @@ def test_integrator_modes_documented():
     section = text.split("## Integrator modes", 1)[1].split("##", 1)[0]
     documented = set(re.findall(r"^\* `([a-z0-9_]+)`", section, re.MULTILINE))
     assert documented == set(ThermalModel.INTEGRATORS)
-
-
-def test_segment_constants_match():
-    text = DOC.read_text()
-    assert f"({batch.RAMP_TICKS} ticks)" in text
-    assert f"{batch.SEGMENT_TICKS} ticks" in text
-
-
-def test_documented_phases_exist():
-    text = DOC.read_text()
-    for phase in ("thermal_exact", "power_assemble", "batch_sync"):
-        assert f"`{phase}`" in text
-        assert phase in STEP_PHASES
-
-
-def test_documented_entry_points_exist():
-    from repro.sim.batch import BatchSimulation
-    from repro.sim.experiment import run_scenarios_batched
-
-    assert callable(run_scenarios_batched)
-    assert hasattr(BatchSimulation, "run")
-    assert hasattr(BatchSimulation, "run_each")
-    # The CLI flag the doc promises.
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    text = parser.format_help()
-    # Walk into `campaign run` to check --batch is wired.
-    import argparse
-
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    campaign = sub.choices["campaign"]
-    action_sub = next(a for a in campaign._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    run_flags = {
-        flag
-        for action in action_sub.choices["run"]._actions
-        for flag in action.option_strings
-    }
-    assert "--batch" in run_flags
 
 
 def test_default_engine_step_documented():

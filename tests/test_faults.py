@@ -5,11 +5,11 @@ import pytest
 from repro.apps.mibench import basicmath_large
 from repro.core.governor import ApplicationAwareGovernor, GovernorConfig
 from repro.errors import ConfigurationError
+from repro.faults.sensors import DroppingSensor, SpikySensor, StuckSensor
 from repro.kernel.kernel import KernelConfig
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 from repro.soc.exynos5422 import odroid_xu3
-from repro.thermal.faults import DroppingSensor, SpikySensor, StuckSensor
 from repro.thermal.model import ThermalModel
 from repro.thermal.sensors import SensorSpec, TemperatureSensor
 from repro.thermal.rc_network import (

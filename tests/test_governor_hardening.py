@@ -5,10 +5,10 @@ import pytest
 from repro.apps.mibench import basicmath_large
 from repro.core.governor import ApplicationAwareGovernor, GovernorConfig
 from repro.errors import SysfsError
+from repro.faults.sensors import StuckSensor
 from repro.kernel.kernel import KernelConfig
 from repro.sim.engine import Simulation
 from repro.soc.exynos5422 import odroid_xu3
-from repro.thermal.faults import StuckSensor
 
 
 def make_governed_sim(config):

@@ -82,11 +82,7 @@ def test_simulation_profile_coverage():
     sim.run(20.0)
     report = sim.profiler.report()
     assert report.step_count == 2000
-    # The scalar engine enters every canonical phase except the two owned
-    # by BatchSimulation's vectorized fast path.
-    assert {p.name for p in report.phases} == (
-        set(STEP_PHASES) - {"thermal_exact", "batch_sync"}
-    )
+    assert {p.name for p in report.phases} == set(STEP_PHASES)
     assert report.coverage >= 0.95
 
 
