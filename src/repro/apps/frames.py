@@ -14,6 +14,7 @@ the paper's Figures 2/4/6 report.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class FpsMeter:
         if bucket_s <= 0.0:
             raise ConfigurationError("FPS bucket must be positive")
         self._bucket_s = bucket_s
-        self._completions: list[float] = []
+        self._completions = array("d")
 
     def record(self, now_s: float) -> None:
         """Register one completed frame."""
@@ -44,7 +45,8 @@ class FpsMeter:
         self, start_s: float = 0.0, end_s: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-bucket FPS ``(bucket_start_times, fps)``."""
-        times = np.asarray(self._completions)
+        # A copy: an ``array`` that exports its buffer cannot grow.
+        times = np.array(self._completions, dtype=float)
         if end_s is None:
             end_s = float(times[-1]) if times.size else start_s
         # The epsilon keeps float dust (start=1e-6, end=start+1) from

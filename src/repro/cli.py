@@ -68,6 +68,17 @@ from repro.soc.snapdragon810 import NEXUS6P
 from repro.units import celsius_to_kelvin, hz_to_mhz, kelvin_to_celsius
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _maybe_export(args: argparse.Namespace, command: str, runs_fn) -> str:
     """Export the command's run set if ``--export-dir`` was given."""
     export_dir = getattr(args, "export_dir", None)
@@ -751,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.set_defaults(fn=fn)
         if needs_seed:
-            cmd.add_argument("--seed", type=int, default=3)
+            cmd.add_argument("--seed", type=_seed, default=3)
             cmd.add_argument(
                 "--export-dir", dest="export_dir", default=None,
                 help="write manifest/metrics/events/trace CSVs per run here",
@@ -776,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="thermal limit in degC")
     advise_cmd.add_argument("--profile-s", type=float, default=60.0,
                             dest="profile_s")
-    advise_cmd.add_argument("--seed", type=int, default=3)
+    advise_cmd.add_argument("--seed", type=_seed, default=3)
     advise_cmd.set_defaults(fn=_cmd_advise)
 
     lint_cmd = sub.add_parser("lint")
@@ -860,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd = sub.add_parser("chaos")
     chaos_cmd.add_argument("--duration", type=float, default=25.0,
                            help="simulated seconds per run")
-    chaos_cmd.add_argument("--seed", type=int, default=3)
+    chaos_cmd.add_argument("--seed", type=_seed, default=3)
     chaos_cmd.add_argument("--jobs", type=int, default=1,
                            help="worker processes (1 = run in-process)")
     chaos_cmd.add_argument("--timeout", type=float, default=None,
@@ -895,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     pexc = platforms_sub.add_parser("excite")
     pexc.add_argument("--platform", required=True,
                       help="registered platform to excite")
-    pexc.add_argument("--seed", type=int, default=0,
+    pexc.add_argument("--seed", type=_seed, default=0,
                       help="RNG seed of the excitation run")
     pexc.add_argument("--out", default=None,
                       help="write the CalibTrace JSON here (default: stdout)")
@@ -915,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="built-in degradation model name (sysfs, "
                            "noisy-sysfs, harsh) or a DegradationModel "
                            "JSON file")
-    pdeg.add_argument("--seed", type=int, default=0,
+    pdeg.add_argument("--seed", type=_seed, default=0,
                       help="RNG seed of the degradation draws")
     pdeg.add_argument("--out", default=None,
                       help="write the degraded CalibTrace JSON here "
@@ -947,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="registered platform to run on")
         cmd.add_argument("--duration", type=float, default=30.0,
                          help="simulated seconds to run")
-        cmd.add_argument("--seed", type=int, default=3)
+        cmd.add_argument("--seed", type=_seed, default=3)
         cmd.add_argument("--profile", action="store_true",
                          help="also print the step-phase wall-clock profile")
         cmd.add_argument("--format", choices=("text", "json"), default="text",

@@ -34,6 +34,7 @@ from repro.core.stability import LumpedThermalParams
 from repro.core.time_to_fixed_point import time_to_temperature_s
 from repro.errors import ConfigurationError, SysfsError
 from repro.kernel.kernel import UserspaceApi
+from repro.kernel.tracing import SlottedRecord
 from repro.obs.metrics import DETECTION_LATENCY_BUCKETS_S
 from repro.units import (
     celsius_to_kelvin,
@@ -51,6 +52,11 @@ FAILSAFE_RELAX_PERIODS = 5
 
 #: Cap on the exponential -EIO backoff, as a multiple of ``eio_backoff_s``.
 EIO_BACKOFF_CAP = 8
+
+#: Control-period predictions the governor keeps (a ring; older ones drop
+#: and are counted).  At the default 0.1 s period that is over 800 s,
+#: longer than any preset or paper run.
+PREDICTION_CAPACITY = 8192
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,13 @@ class GovernorConfig:
 
 
 @dataclass(frozen=True)
-class MigrationEvent:
+class MigrationEvent(SlottedRecord):
     """One governor action, for post-hoc analysis."""
+
+    __slots__ = (
+        "time_s", "pid", "name", "direction", "attributed_power_w",
+        "predicted_stable_temp_c", "time_to_violation_s",
+    )
 
     time_s: float
     pid: int
@@ -153,8 +164,10 @@ class MigrationEvent:
 
 
 @dataclass(frozen=True)
-class FaultDetection:
+class FaultDetection(SlottedRecord):
     """One flagged sensor/sysfs anomaly, for post-hoc analysis."""
+
+    __slots__ = ("time_s", "kind", "detail")
 
     time_s: float
     kind: str  # "stale" | "implausible" | "eio" | "stall" | "breach"
@@ -172,8 +185,13 @@ class FailsafeEvent:
 
 
 @dataclass(frozen=True)
-class Prediction:
+class Prediction(SlottedRecord):
     """One control-period analysis outcome."""
+
+    __slots__ = (
+        "time_s", "p_total_w", "p_dyn_w", "temp_c", "classification",
+        "stable_temp_c", "time_to_violation_s",
+    )
 
     time_s: float
     p_total_w: float
@@ -216,7 +234,8 @@ class ApplicationAwareGovernor:
         self._migrated: list[int] = []
         self._cool_since_s: float | None = None
         self.events: list[MigrationEvent] = []
-        self.predictions: list[Prediction] = []
+        self.predictions: deque[Prediction] = deque(maxlen=PREDICTION_CAPACITY)
+        self._predictions_dropped = 0
         self._obs_metrics = None
         self._obs_spans = None
         self._m_runs = None
@@ -241,6 +260,11 @@ class ApplicationAwareGovernor:
         self._failsafe_state = 0
         self._failsafe_relax = 0
         self._m_failsafe_seconds = None
+
+    @property
+    def predictions_dropped(self) -> int:
+        """Predictions lost to the :data:`PREDICTION_CAPACITY` ring bound."""
+        return self._predictions_dropped
 
     # ------------------------------------------------------------- helpers
 
@@ -690,6 +714,8 @@ class ApplicationAwareGovernor:
             if report.stable_temp_k is not None
             else None
         )
+        if len(self.predictions) == self.predictions.maxlen:
+            self._predictions_dropped += 1
         self.predictions.append(
             Prediction(
                 now_s, p_total, p_dyn, temp_c, report.classification,

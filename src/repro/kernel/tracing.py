@@ -24,14 +24,39 @@ from repro.errors import ConfigurationError
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class SlottedRecord:
+    """Base of the frozen record dataclasses a run keeps by the thousand.
+
+    ``dataclass(slots=True)`` needs Python 3.10, so each subclass declares
+    ``__slots__`` by hand, in field order: no per-instance ``__dict__``.
+    Default pickling restores slots with ``setattr``, which a frozen
+    dataclass refuses, so records pickle through their constructor.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@dataclass(frozen=True, init=False)
+class TraceEvent(SlottedRecord):
     """One discrete kernel event."""
+
+    __slots__ = ("time_s", "source", "event", "detail")
 
     time_s: float
     source: str
     event: str
-    detail: str = ""
+    detail: str
+
+    def __init__(
+        self, time_s: float, source: str, event: str, detail: str = ""
+    ) -> None:
+        # A slot cannot carry a class-level default, hence the hand-written
+        # constructor; frozen fields are set the way dataclass does it.
+        for name, value in zip(self.__slots__, (time_s, source, event, detail)):
+            object.__setattr__(self, name, value)
 
     def render(self) -> str:
         """One ftrace-like line."""

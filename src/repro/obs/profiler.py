@@ -7,10 +7,11 @@
 :class:`ProfileReport` says where the time goes — the measurement substrate
 any optimisation of the hot loop must be benchmarked against.
 
-Phases may be entered several times per step (the power-model phase brackets
-the thermal integration); totals simply accumulate.  The profiler is
-deliberately dependency-free and cheap: two ``perf_counter`` calls per
-phase entry.
+The engine enters each phase once per step, in that order, and never nests
+one inside another (``thermal`` runs between ``power_assemble`` and
+``power_model``, bracketed by neither).  A phase entered more than once
+simply accumulates.  The profiler is deliberately dependency-free and
+cheap: two ``perf_counter`` calls per phase entry.
 """
 
 from __future__ import annotations

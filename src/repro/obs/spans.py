@@ -8,6 +8,10 @@ timestamp (when it happened in the modelled world).
 
 The tracer is a bounded ring buffer like the kernel's: completed spans
 beyond ``capacity`` drop oldest-first and are counted, never silently lost.
+Finished spans are stored as typed ring columns (ids and timestamps in
+``array`` buffers, attrs as an interned key tuple plus a value tuple), and
+:class:`Span` objects are rebuilt when they are read; only open spans live
+as objects.
 
 Span names form a small taxonomy (``governor.update``, ``sched.migrate``,
 ``thermal.cooling_state``, ``thermal.trip``, ``hotplug.transition``,
@@ -17,9 +21,10 @@ Span names form a small taxonomy (``governor.update``, ``sched.migrate``,
 from __future__ import annotations
 
 import time
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.units import seconds_to_microseconds
@@ -72,7 +77,11 @@ class Span:
 
 
 class _SpanHandle:
-    """Context manager returned by :meth:`SpanTracer.span`."""
+    """Context manager returned by :meth:`SpanTracer.span`.
+
+    Attributes set after the ``with`` block has exited are not stored: the
+    span was copied into the ring when it finished.
+    """
 
     def __init__(self, tracer: "SpanTracer", span: Span) -> None:
         self._tracer = tracer
@@ -104,10 +113,30 @@ class SpanTracer:
         self.capacity = capacity
         self._sim_time = sim_time_fn or (lambda: 0.0)
         self._wall_time = wall_time_fn
-        self._finished: deque[Span] = deque(maxlen=capacity)
         self._stack: list[Span] = []
         self._next_id = 1
+        self._attr_keys: dict[tuple, tuple] = {}
+        self._reset_ring()
+
+    def _reset_ring(self) -> None:
+        # One row per finished span; once ``capacity`` rows exist, row
+        # ``_head`` is the oldest and the next span overwrites it.
+        self._head = 0
         self._dropped = 0
+        self._ids = array("q")
+        self._parents = array("q")  # 0: no parent (span ids start at 1)
+        self._start_wall = array("d")
+        self._end_wall = array("d")
+        self._start_sim = array("d")
+        self._end_sim = array("d")
+        self._names: list[str] = []
+        self._keys: list[tuple] = []
+        self._values: list[tuple] = []
+        self._columns = (
+            self._ids, self._parents, self._start_wall, self._end_wall,
+            self._start_sim, self._end_sim, self._names, self._keys,
+            self._values,
+        )
 
     # ------------------------------------------------------------ emission
 
@@ -148,11 +177,47 @@ class SpanTracer:
         self._store(span)
 
     def _store(self, span: Span) -> None:
-        if len(self._finished) == self.capacity:
-            self._dropped += 1
-        self._finished.append(span)
+        keys = tuple(span.attrs)
+        keys = self._attr_keys.setdefault(keys, keys)
+        row = (
+            span.span_id,
+            0 if span.parent_id is None else span.parent_id,
+            span.start_wall_s,
+            span.end_wall_s,
+            span.start_sim_s,
+            span.end_sim_s,
+            span.name,
+            keys,
+            tuple(span.attrs.values()),
+        )
+        if len(self._names) < self.capacity:
+            for column, value in zip(self._columns, row):
+                column.append(value)
+            return
+        i = self._head
+        for column, value in zip(self._columns, row):
+            column[i] = value
+        self._head = (i + 1) % self.capacity
+        self._dropped += 1
 
     # ------------------------------------------------------------- queries
+
+    def _rows(self) -> Iterable[int]:
+        """Row indices, oldest first."""
+        return chain(range(self._head, len(self._names)), range(self._head))
+
+    def _span_at(self, i: int) -> Span:
+        parent = self._parents[i]
+        return Span(
+            span_id=self._ids[i],
+            name=self._names[i],
+            start_wall_s=self._start_wall[i],
+            start_sim_s=self._start_sim[i],
+            parent_id=parent if parent else None,
+            end_wall_s=self._end_wall[i],
+            end_sim_s=self._end_sim[i],
+            attrs=dict(zip(self._keys[i], self._values[i])),
+        )
 
     @property
     def dropped(self) -> int:
@@ -161,37 +226,45 @@ class SpanTracer:
 
     def spans(self, name: str | None = None) -> list[Span]:
         """Finished spans, oldest first, optionally filtered by exact name."""
-        if name is None:
-            return list(self._finished)
-        return [s for s in self._finished if s.name == name]
+        names = self._names
+        return [
+            self._span_at(i) for i in self._rows()
+            if name is None or names[i] == name
+        ]
 
     def by_prefix(self, prefix: str) -> list[Span]:
         """Finished spans whose name starts with ``prefix``."""
-        return [s for s in self._finished if s.name.startswith(prefix)]
+        names = self._names
+        return [
+            self._span_at(i) for i in self._rows()
+            if names[i].startswith(prefix)
+        ]
 
     def children_of(self, span_id: int) -> list[Span]:
         """Finished spans whose parent is ``span_id``."""
-        return [s for s in self._finished if s.parent_id == span_id]
+        if not span_id:
+            return []  # root rows store parent 0; no span has id 0
+        parents = self._parents
+        return [self._span_at(i) for i in self._rows() if parents[i] == span_id]
 
     def to_dicts(self) -> Iterator[dict]:
         """Every finished span as a JSON-serialisable dict, oldest first."""
-        for span in self._finished:
-            yield span.to_dict()
+        for i in self._rows():
+            yield self._span_at(i).to_dict()
 
     def render(self, limit: int | None = None) -> str:
         """The buffer as one line per span (``limit``: only the newest N)."""
-        finished = list(self._finished)
+        rows = list(self._rows())
         if limit is not None:
-            finished = finished[-limit:] if limit > 0 else []
-        lines = [span.render() for span in finished]
+            rows = rows[-limit:] if limit > 0 else []
+        lines = [self._span_at(i).render() for i in rows]
         if self._dropped:
             lines.insert(0, f"# {self._dropped} spans dropped")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def clear(self) -> None:
         """Drop all finished spans (open spans keep nesting)."""
-        self._finished.clear()
-        self._dropped = 0
+        self._reset_ring()
 
     def __len__(self) -> int:
-        return len(self._finished)
+        return len(self._names)

@@ -1,9 +1,11 @@
 """Per-tick power assembly: kernel activity + temperatures → rail watts.
 
 The power-assembly phase of :meth:`Simulation.step`.  The stage owns
-preallocated :class:`~repro.soc.power_model.ComponentActivity` instances and
-reuses its output dicts, so a tick is attribute stores plus one
-``rail_powers`` call instead of dataclass-and-dict churn.
+preallocated :class:`~repro.soc.power_model.ComponentActivity` instances
+and updates them with attribute stores, so no activity objects are built
+per tick.  Dicts still are: every tick reads a fresh temperatures dict
+(``ThermalModel.temperatures_k``), gets a fresh dict of samples from
+``rail_powers``, and returns two new rail dicts.
 
 The arithmetic is intentionally byte-identical to the historical inline
 block: activity values, the memory-activity proxy, the rail summation
@@ -43,7 +45,7 @@ class PowerStage:
         Returns ``(rail_watts, soc_watts, battery_w)`` where ``rail_watts``
         includes the board rail (when the platform draws board power) and
         ``soc_watts`` is the SoC-only subset fed to the rail power sensors.
-        The returned dicts are owned by the stage and rewritten every tick.
+        Both dicts are new on every call.
         """
         thermal = self._thermal
         kernel = self._kernel

@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 #: The sanctioned stream-name namespaces (the text before the first
 #: ``.`` of a stream name, or the whole name).  Every consumer class
 #: derives its streams under one of these; ``repro lint`` rule R602
@@ -31,6 +33,8 @@ class RngRegistry:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
+        if self._seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {seed}")
         self._streams: dict[str, np.random.Generator] = {}
 
     @property

@@ -8,6 +8,7 @@ as numpy arrays, or :meth:`TraceRecorder.channel` for the raw channel object.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 import numpy as np
@@ -18,17 +19,21 @@ from repro.errors import AnalysisError
 class TraceChannel:
     """One named scalar time series.
 
-    The numpy views returned by :attr:`times`/:attr:`values` are cached and
-    invalidated on :meth:`append` — analyses poll channels far more often
-    than the engine appends, and rebuilding the arrays was an O(n) copy per
-    access on hot channels.  The cached arrays are marked read-only so a
-    consumer cannot corrupt the shared copy.
+    Samples live in two typed ``array('d')`` buffers: 16 bytes per sample
+    (a list of boxed floats costs 32 bytes per value).  The numpy arrays returned by
+    :attr:`times`/:attr:`values` are cached and invalidated on
+    :meth:`append` — analyses poll channels far more often than the engine
+    appends, and rebuilding the arrays was an O(n) copy per access on hot
+    channels.  They are copies, not views: an ``array`` that exports its
+    buffer cannot grow, so a view would make the next append raise
+    ``BufferError``.  The cached arrays are marked read-only so a consumer
+    cannot corrupt the shared copy.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
+        self._times = array("d")
+        self._values = array("d")
         self._times_arr: np.ndarray | None = None
         self._values_arr: np.ndarray | None = None
 
@@ -51,7 +56,7 @@ class TraceChannel:
     def times(self) -> np.ndarray:
         """Sample times in seconds (cached, read-only)."""
         if self._times_arr is None:
-            self._times_arr = np.asarray(self._times, dtype=float)
+            self._times_arr = np.array(self._times, dtype=float)
             self._times_arr.setflags(write=False)
         return self._times_arr
 
@@ -59,7 +64,7 @@ class TraceChannel:
     def values(self) -> np.ndarray:
         """Sample values (cached, read-only)."""
         if self._values_arr is None:
-            self._values_arr = np.asarray(self._values, dtype=float)
+            self._values_arr = np.array(self._values, dtype=float)
             self._values_arr.setflags(write=False)
         return self._values_arr
 

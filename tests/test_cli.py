@@ -47,6 +47,22 @@ def test_unknown_command_exits():
         main(["fig99"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["table2"], ["fig8"], ["advise"], ["chaos"], ["metrics"], ["trace"],
+    ["platforms", "excite", "--platform", "nexus6p", "--out", "t.json"],
+    ["platforms", "degrade", "--trace", "t.json", "--model", "noisy-sysfs",
+     "--out", "d.json"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-5", "three"])
+def test_bad_seed_is_a_usage_error(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--seed" in err
+    assert "Traceback" not in err
+
+
 def test_stability_requires_power():
     with pytest.raises(SystemExit):
         main(["stability"])

@@ -1,7 +1,9 @@
 """Deterministic RNG registry."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
 
 
@@ -43,3 +45,8 @@ def test_names_sorted():
     reg.stream("zeta")
     reg.stream("alpha")
     assert reg.names() == ["alpha", "zeta"]
+
+
+def test_negative_seed_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        RngRegistry(-1)
