@@ -6,14 +6,13 @@ export PYTHONPATH := src
 
 CAMPAIGN_STORE ?= /tmp/repro-campaign-smoke
 PLATFORM_STORE ?= /tmp/repro-platform-matrix
-CHAOS_STORE ?= /tmp/repro-chaos-smoke
 TELEMETRY_STORE ?= /tmp/repro-telemetry-smoke
 CALIB_DIR ?= /tmp/repro-calib-smoke
 
 LINT_CACHE ?= /tmp/repro-lint-cache.json
 PERF_OUT ?= /tmp/repro-perf.jsonl
 
-.PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
+.PHONY: lint lint-fast lint-full test check campaign-smoke \
 	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke perf
 
 lint:
@@ -45,13 +44,6 @@ campaign-smoke:
 	$(PYTHON) -m repro campaign run --preset smoke --store $(CAMPAIGN_STORE) --jobs 2 --resume --format json \
 	  | $(PYTHON) -c "import json,sys; s=json.load(sys.stdin)['summary']; assert s['cached']==s['total']>0, s; print(f\"campaign-smoke: {s['cached']}/{s['total']} cached\")"
 	$(PYTHON) -m repro campaign run --preset platform-matrix --store $(PLATFORM_STORE) --jobs 2
-
-# Run the full fault-injection grid (every built-in fault plan x policy x
-# platform) and fail if any run crashes or the hardened governor overshoots
-# the thermal limit by more than stock anywhere (docs/FAULTS.md).
-chaos-smoke:
-	rm -rf $(CHAOS_STORE)
-	$(PYTHON) -m repro chaos --duration 12 --jobs 2 --store $(CHAOS_STORE)
 
 # Exercise the cross-process telemetry pipeline end to end: run the tiny
 # campaign with the deterministic watch dashboard and an SLO gate, then
@@ -104,4 +96,4 @@ calib-robust-smoke:
 perf:
 	$(PYTHON) benchmarks/perf/run.py --out $(PERF_OUT)
 
-check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke
+check: lint validate-platforms test campaign-smoke telemetry-smoke calib-smoke calib-robust-smoke

@@ -11,8 +11,9 @@ thermal network) is assumed, and the trace determines the numbers:
   from the regulator-telemetry channel;
 * ``leakage.<domain>`` — two-step leakage fit: a non-negative joint fit
   over a beta grid separates the leakage column from the dynamic terms,
-  then the *shared* log-linear estimator (:func:`fit_log_linear_leakage`,
-  also used by :mod:`repro.core.calibration`) refines (kappa, beta) on the
+  then the *shared* log-linear estimator
+  (:func:`repro.core.calibration.fit_log_linear_leakage`, which the lumped
+  stability analysis uses too) refines (kappa, beta) on the
   temperature-bias-corrected residual;
 * ``memory`` — same two-step scheme against the re-derived memory activity
   (the engine's documented ``0.25 * busy/cores + 0.6 * gpu`` mix);
@@ -57,6 +58,7 @@ from repro.calib.trace import (
     TEMP_PREFIX,
     VOLT_PREFIX,
 )
+from repro.core.calibration import fit_log_linear_leakage
 from repro.errors import CalibrationError, StabilityError
 from repro.kernel.cpuidle import IDLE_BUSY_THRESHOLD
 from repro.soc.power_model import memory_activity_proxy
@@ -100,35 +102,6 @@ MIN_SAMPLES = 8
 #: A rail whose recorded power never moves more than this (std, watts) is
 #: treated as constant and folded into the RC regression intercept.
 CONSTANT_RAIL_STD_W = 1e-6
-
-
-# --------------------------------------------------------------------------
-# shared leakage estimator (also the backend of core.calibration.fit_leakage)
-# --------------------------------------------------------------------------
-
-
-def fit_log_linear_leakage(temps_k, totals_w) -> tuple[float, float]:
-    """Fit ``(kappa, beta)`` to leakage totals at the reference voltage.
-
-    Regresses ``log(P / T^2) = log kappa - beta / T`` — the De Vogeleer
-    temperature-bias correction: dividing by ``T^2`` before taking logs
-    keeps the regression linear in ``1/T`` and unbiased across the
-    temperature range.  Raises :class:`~repro.errors.StabilityError` on
-    non-positive totals or a non-physical fitted beta, exactly as the
-    stability-analysis calibration always has.
-    """
-    temps_k = np.asarray(temps_k, dtype=float)
-    totals = np.asarray(totals_w, dtype=float)
-    if np.any(totals <= 0.0):
-        raise StabilityError("platform has zero leakage; nothing to fit")
-    y = np.log(totals / temps_k**2)
-    a = np.column_stack([np.ones_like(temps_k), -1.0 / temps_k])
-    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
-    kappa = float(np.exp(coeffs[0]))
-    beta = float(coeffs[1])
-    if beta <= 0.0:
-        raise StabilityError(f"fitted beta is non-physical: {beta}")
-    return kappa, beta
 
 
 # --------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -76,6 +77,36 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """argparse type of a physical quantity: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _power_w(text: str) -> float:
+    """argparse type of ``stability --power``: finite, non-negative watts."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"power must be >= 0 W, got {value}")
+    return value
+
+
+def _budget_limit_c(text: str) -> float:
+    """argparse type of ``budget --limit``: finite and above the ambient."""
+    value = _finite(text)
+    ambient_c = kelvin_to_celsius(ODROID_XU3_LUMPED.t_ambient_k)
+    if celsius_to_kelvin(value) <= ODROID_XU3_LUMPED.t_ambient_k:
+        raise argparse.ArgumentTypeError(
+            f"limit {value} degC is at or below the {ambient_c:.1f} degC ambient"
+        )
     return value
 
 
@@ -769,12 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     stab = sub.add_parser("stability")
-    stab.add_argument("--power", type=float, required=True,
+    stab.add_argument("--power", type=_power_w, required=True,
                       help="dynamic power in watts")
     stab.set_defaults(fn=_cmd_stability)
 
     budget = sub.add_parser("budget")
-    budget.add_argument("--limit", type=float, required=True,
+    budget.add_argument("--limit", type=_budget_limit_c, required=True,
                         help="thermal limit in degC")
     budget.set_defaults(fn=_cmd_budget)
 
@@ -783,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="catalog app to profile")
     advise_cmd.add_argument("--platform", default=NEXUS6P,
                             help="registered platform to profile on")
-    advise_cmd.add_argument("--limit", type=float, default=40.0,
+    advise_cmd.add_argument("--limit", type=_finite, default=40.0,
                             help="thermal limit in degC")
     advise_cmd.add_argument("--profile-s", type=float, default=60.0,
                             dest="profile_s")

@@ -25,6 +25,8 @@ def safe_power_budget_w(
     params: LumpedThermalParams, t_limit_k: float
 ) -> float:
     """Largest dynamic power with a stable steady state <= ``t_limit_k``."""
+    if not math.isfinite(t_limit_k):
+        raise StabilityError(f"thermal limit must be finite, got {t_limit_k}")
     if t_limit_k <= params.t_ambient_k:
         raise StabilityError(
             f"thermal limit {t_limit_k} K is at or below ambient "

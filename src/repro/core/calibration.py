@@ -65,17 +65,41 @@ def ambient_offset_k(
     )
 
 
+def fit_log_linear_leakage(temps_k, totals_w) -> tuple[float, float]:
+    """Fit ``(kappa, beta)`` to leakage totals at the reference voltage.
+
+    Regresses ``log(P / T^2) = log kappa - beta / T`` — the De Vogeleer
+    temperature-bias correction: dividing by ``T^2`` before taking logs
+    keeps the regression linear in ``1/T`` and unbiased across the
+    temperature range.  Raises :class:`~repro.errors.StabilityError` on
+    non-positive totals or a non-physical fitted beta.
+
+    The single leakage estimator of the project: :func:`fit_leakage` uses it
+    for the lumped stability analysis and the trace-calibration pipeline
+    (:mod:`repro.calib.fit`) for its leakage stage.
+    """
+    temps_k = np.asarray(temps_k, dtype=float)
+    totals = np.asarray(totals_w, dtype=float)
+    if np.any(totals <= 0.0):
+        raise StabilityError("platform has zero leakage; nothing to fit")
+    y = np.log(totals / temps_k**2)
+    a = np.column_stack([np.ones_like(temps_k), -1.0 / temps_k])
+    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
+    kappa = float(np.exp(coeffs[0]))
+    beta = float(coeffs[1])
+    if beta <= 0.0:
+        raise StabilityError(f"fitted beta is non-physical: {beta}")
+    return kappa, beta
+
+
 def fit_leakage(
     platform: PlatformSpec, temps_k: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Fit (kappa, beta) to the platform's total SoC leakage vs temperature.
 
     Evaluates every component's leakage at its maximum-OPP voltage over a
-    temperature grid and delegates the ``log(P / T^2) = log kappa - beta / T``
-    regression to :func:`repro.calib.fit.fit_log_linear_leakage`, the single
-    estimator shared with the trace-calibration pipeline.
+    temperature grid and fits it with :func:`fit_log_linear_leakage`.
     """
-    from repro.calib.fit import fit_log_linear_leakage
     from repro.soc.power_model import leakage_power_w
 
     if temps_k is None:

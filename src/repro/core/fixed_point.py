@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
+from repro.core.numeric import brentq
 from repro.core.stability import FixedPointFunction, LumpedThermalParams
 from repro.errors import StabilityError
 
@@ -93,4 +92,4 @@ def critical_power_w(params: LumpedThermalParams) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise StabilityError("failed to bracket the critical power")
-    return float(brentq(peak_value, lo, hi, xtol=1e-9))
+    return brentq(peak_value, lo, hi, xtol=1e-9)

@@ -21,10 +21,9 @@ means thermal runaway.  Raising P_dyn raises c1 and shifts f downward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from scipy.optimize import brentq
-
+from repro.core.numeric import brentq
 from repro.errors import StabilityError
 
 
@@ -39,6 +38,10 @@ class LumpedThermalParams:
     t_ambient_k: float
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise StabilityError(f"{field.name} must be finite, got {value}")
         if self.r_k_per_w <= 0.0 or self.c_j_per_k <= 0.0:
             raise StabilityError("thermal R and C must be positive")
         if self.kappa_w_per_k2 <= 0.0 or self.beta_k <= 0.0:
@@ -88,8 +91,10 @@ class FixedPointFunction:
     """The concave fixed-point function f(x) = x - c1*x^2 - c2*exp(-x)."""
 
     def __init__(self, c1: float, c2: float) -> None:
-        if c1 <= 0.0 or c2 <= 0.0:
-            raise StabilityError(f"coefficients must be positive: c1={c1}, c2={c2}")
+        if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+            raise StabilityError(
+                f"coefficients must be positive and finite: c1={c1}, c2={c2}"
+            )
         self.c1 = c1
         self.c2 = c2
 
@@ -98,8 +103,10 @@ class FixedPointFunction:
         cls, params: LumpedThermalParams, p_dyn_w: float
     ) -> "FixedPointFunction":
         """Build f for a dynamic-power level on a lumped model."""
-        if p_dyn_w < 0.0:
-            raise StabilityError(f"dynamic power must be non-negative: {p_dyn_w}")
+        if not 0.0 <= p_dyn_w < math.inf:
+            raise StabilityError(
+                f"dynamic power must be finite and non-negative: {p_dyn_w}"
+            )
         c1 = (params.t_ambient_k + params.r_k_per_w * p_dyn_w) / params.beta_k
         c2 = params.r_k_per_w * params.kappa_w_per_k2 * params.beta_k
         return cls(c1, c2)
@@ -120,7 +127,7 @@ class FixedPointFunction:
             hi *= 2.0
             if hi > 1e9:
                 raise StabilityError("failed to bracket the maximiser")
-        return float(brentq(self.derivative, lo, hi, xtol=1e-12))
+        return brentq(self.derivative, lo, hi, xtol=1e-12)
 
     def roots(self) -> tuple[float, ...]:
         """All roots, ascending: () for runaway, (x,) critical, (xu, xs) stable.
@@ -137,12 +144,12 @@ class FixedPointFunction:
             return (x_peak,)
         lo = 1e-12
         hi = x_peak
-        left = float(brentq(self, lo, hi, xtol=1e-12))
+        left = brentq(self, lo, hi, xtol=1e-12)
         # Expand to the right until f < 0 again.
         hi2 = max(2.0 * x_peak, x_peak + 1.0)
         while self(hi2) > 0.0:
             hi2 *= 2.0
             if hi2 > 1e9:
                 raise StabilityError("failed to bracket the stable root")
-        right = float(brentq(self, x_peak, hi2, xtol=1e-12))
+        right = brentq(self, x_peak, hi2, xtol=1e-12)
         return (left, right)

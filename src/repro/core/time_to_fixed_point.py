@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from repro.core.fixed_point import StabilityClass, analyze
+from repro.core.numeric import quad
 from repro.core.stability import FixedPointFunction, LumpedThermalParams
 from repro.errors import StabilityError
 
@@ -29,7 +28,7 @@ def _travel_time_s(
     """Quadrature of R*C/f(x) between two auxiliary temperatures."""
     if abs(x_from - x_to) < 1e-12:
         return 0.0
-    value, _err = quad(lambda x: 1.0 / func(x), x_from, x_to, limit=200)
+    value = quad(lambda x: 1.0 / func(x), x_from, x_to)
     t = params.time_constant_s * value
     if t < 0.0:
         raise StabilityError(
@@ -47,7 +46,8 @@ def time_to_fixed_point_s(
     """Time until the temperature settles within ``tol_k`` of the fixed point.
 
     Returns ``inf`` when the trajectory never reaches it: thermal runaway
-    (no fixed point), or a start beyond the unstable fixed point.
+    (no fixed point), or a start beyond the unstable fixed point (for a
+    critical power, beyond the merged root: f < 0 on both sides of it).
     """
     if tol_k <= 0.0:
         raise StabilityError("tolerance must be positive")
@@ -55,11 +55,7 @@ def time_to_fixed_point_s(
     if report.classification is StabilityClass.RUNAWAY:
         return math.inf
     x_now = params.aux_from_temp(temp_now_k)
-    x_stable = report.stable_aux
-    if (
-        report.classification is StabilityClass.STABLE
-        and x_now < report.unstable_aux
-    ):
+    if x_now < report.unstable_aux:
         return math.inf  # beyond the unstable point: diverging
     t_stable = report.stable_temp_k
     if abs(temp_now_k - t_stable) <= tol_k:
@@ -97,9 +93,10 @@ def time_to_temperature_s(
         return math.inf
 
     x_stable = report.stable_aux
-    x_unstable = report.unstable_aux
-    if report.classification is StabilityClass.STABLE and x_now < x_unstable:
-        # Runaway branch: heading to x -> 0 (T -> inf).
+    if x_now < report.unstable_aux:
+        # Runaway branch: heading to x -> 0 (T -> inf).  At a critical
+        # power the roots have merged and f < 0 on both sides, so a start
+        # hotter than the merged root runs away too.
         if x_target < x_now:
             return _travel_time_s(params, func, x_now, x_target)
         return math.inf

@@ -76,3 +76,9 @@ def test_better_cooling_larger_budget():
     cooler = dataclasses.replace(P, r_k_per_w=P.r_k_per_w / 2.0)
     limit = celsius_to_kelvin(85.0)
     assert safe_power_budget_w(cooler, limit) > safe_power_budget_w(P, limit)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_limit_rejected(bad):
+    with pytest.raises(StabilityError, match="finite"):
+        safe_power_budget_w(P, bad)

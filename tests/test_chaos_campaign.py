@@ -46,7 +46,7 @@ def test_fault_runs_byte_identical_across_jobs(tmp_path):
 
 
 def test_chaos_grid_hardening_property(tmp_path):
-    spec = chaos_campaign(duration_s=10.0, seed=3)
+    spec = chaos_campaign(duration_s=12.0, seed=3)
     runner = CampaignRunner(spec, ResultStore(tmp_path), jobs=2)
     campaign = runner.run()
     assert campaign.ok, campaign.render_text()

@@ -68,6 +68,30 @@ def test_stability_requires_power():
         main(["stability"])
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["stability", "--power", "-1"], "power must be >= 0"),
+    (["stability", "--power", "nan"], "must be finite"),
+    (["stability", "--power", "inf"], "must be finite"),
+    (["stability", "--power", "two"], "invalid number"),
+    (["budget", "--limit", "nan"], "must be finite"),
+    (["budget", "--limit", "20"], "at or below the 27.0 degC ambient"),
+    (["budget", "--limit", "27"], "at or below the 27.0 degC ambient"),
+    (["advise", "--app", "hangouts", "--limit", "nan"], "must be finite"),
+])
+def test_bad_power_or_limit_is_a_usage_error(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-2] in err and reason in err
+    assert "Traceback" not in err
+
+
+def test_budget_just_above_ambient_is_accepted(capsys):
+    assert main(["budget", "--limit", "27.5"]) == 0
+    assert "W" in capsys.readouterr().out
+
+
 def test_parser_lists_all_commands():
     parser = build_parser()
     sub = next(
@@ -359,3 +383,88 @@ def test_platforms_fit_robust_off_raises_trace_exit(tmp_path, capsys, clean_trac
     ])
     assert code == EXIT_TRACE_ERROR
     assert "fit failed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- chaos CLI
+# `repro chaos` maps the grid to an exit code: 0 when every run completed
+# and the hardening property holds, 1 on a crashed run or a regression.
+# tests/test_chaos_campaign.py checks the property on the full grid; these
+# tests check the command's wiring on a two-run slice of it.
+
+
+@pytest.fixture
+def small_chaos_grid(monkeypatch):
+    """Shrink the chaos preset to one platform x one plan x both policies."""
+    from repro.campaign import Axis, CampaignSpec
+    from repro.campaign import presets
+    from repro.campaign.spec import FAULTS_AXIS
+
+    real = presets.chaos_campaign
+
+    def small(duration_s, seed):
+        full = real(duration_s=duration_s, seed=seed)
+        return CampaignSpec(
+            name="chaos",
+            base=full.base,
+            axes=(
+                Axis("platform", ("odroid-xu3",)),
+                Axis("policy", ("stock", "proposed")),
+                Axis(FAULTS_AXIS, ("fan-stop",)),
+            ),
+        )
+
+    monkeypatch.setattr(presets, "chaos_campaign", small)
+
+
+def _chaos(tmp_path, *extra):
+    return main(["chaos", "--duration", "6", "--store", str(tmp_path), *extra])
+
+
+def test_chaos_command_passes_and_reports(small_chaos_grid, tmp_path, capsys):
+    assert _chaos(tmp_path, "--jobs", "2") == 0
+    out = capsys.readouterr().out
+    assert "Resilience report" in out
+    assert "hardening property holds" in out
+
+
+def test_chaos_command_json(small_chaos_grid, tmp_path, capsys):
+    import json
+
+    assert _chaos(tmp_path, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["resilience"]["hardening_regressions"] == []
+    assert payload["campaign"]["summary"]["total"] == 2
+    assert payload["campaign"]["summary"]["failed"] == 0
+
+
+def test_chaos_command_exits_1_on_a_crashed_run(
+    small_chaos_grid, tmp_path, monkeypatch, capsys
+):
+    from repro.campaign import runner
+    from repro.errors import SimulationError
+
+    real = runner._run_scenario
+
+    def crash_proposed(scenario, timeout_s):
+        if scenario.policy == "proposed":
+            raise SimulationError("injected crash")
+        return real(scenario, timeout_s)
+
+    monkeypatch.setattr(runner, "_run_scenario", crash_proposed)
+    assert _chaos(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "injected crash" in out
+
+
+def test_chaos_command_exits_1_on_a_hardening_regression(
+    small_chaos_grid, tmp_path, monkeypatch, capsys
+):
+    from repro.faults.report import ResilienceReport
+
+    monkeypatch.setattr(
+        ResilienceReport, "hardening_regressions",
+        lambda self, tolerance_c=0.25: [("odroid-xu3", "fan-stop", 0.0, 1.5)],
+    )
+    assert _chaos(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "hardening REGRESSION in odroid-xu3/fan-stop" in out

@@ -131,3 +131,20 @@ def test_paper_x_range_shows_both_roots_at_2w():
     x_unstable, x_stable = func.roots()
     assert 2.0 < x_unstable < 6.0
     assert 2.0 < x_stable < 6.0
+
+
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_params_reject_non_finite(field, bad):
+    values = [10.0, 1.0, 1e-3, 1650.0, 300.0]
+    values[field] = bad
+    with pytest.raises(StabilityError, match="finite"):
+        LumpedThermalParams(*values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_power_rejected(bad):
+    with pytest.raises(StabilityError, match="finite"):
+        FixedPointFunction.from_lumped(P, bad)
+    with pytest.raises(StabilityError):
+        FixedPointFunction(bad, 1.0)

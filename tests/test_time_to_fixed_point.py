@@ -112,3 +112,36 @@ def test_higher_power_reaches_limit_sooner():
 def test_bad_tolerance_rejected():
     with pytest.raises(StabilityError):
         time_to_fixed_point_s(P, 3.0, 320.0, tol_k=0.0)
+
+
+def _critical():
+    from repro.core.fixed_point import StabilityClass, analyze, critical_power_w
+
+    p_crit = critical_power_w(P)
+    report = analyze(P, p_crit)
+    assert report.classification is StabilityClass.CRITICAL
+    return p_crit, report.stable_temp_k
+
+
+def test_critical_power_above_merged_root_never_settles():
+    # At the critical power f < 0 on both sides of the merged root: a start
+    # hotter than it runs away instead of settling back.
+    p_crit, t_merged = _critical()
+    assert time_to_fixed_point_s(P, p_crit, t_merged + 5.0) == math.inf
+
+
+def test_critical_power_above_merged_root_reaches_hotter_target():
+    p_crit, t_merged = _critical()
+    start, target = t_merged + 5.0, t_merged + 20.0
+    predicted = time_to_temperature_s(P, p_crit, start, target)
+    simulated = crossing_time_ode(p_crit, start, target)
+    assert predicted == pytest.approx(simulated, rel=0.02)
+    # ... and never a colder one.
+    assert time_to_temperature_s(P, p_crit, start, t_merged + 1.0) == math.inf
+
+
+def test_critical_power_below_merged_root_creeps_up_to_it():
+    p_crit, t_merged = _critical()
+    time = time_to_fixed_point_s(P, p_crit, t_merged - 5.0, tol_k=1.0)
+    assert 0.0 < time < math.inf
+    assert time == time_to_temperature_s(P, p_crit, t_merged - 5.0, t_merged - 1.0)
