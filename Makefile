@@ -4,15 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-CAMPAIGN_STORE ?= /tmp/repro-campaign-smoke
-PLATFORM_STORE ?= /tmp/repro-platform-matrix
 TELEMETRY_STORE ?= /tmp/repro-telemetry-smoke
 CALIB_DIR ?= /tmp/repro-calib-smoke
 
 LINT_CACHE ?= /tmp/repro-lint-cache.json
 PERF_OUT ?= /tmp/repro-perf.jsonl
 
-.PHONY: lint lint-fast lint-full test check campaign-smoke \
+.PHONY: lint lint-fast lint-full test check \
 	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke perf
 
 lint:
@@ -33,17 +31,6 @@ test:
 
 validate-platforms:
 	$(PYTHON) -m repro platforms validate
-
-# Run the tiny built-in campaign twice (the first pass simulates, the
-# second must be served entirely from the content-addressed store), then
-# sweep every registered platform — including the purely data-defined
-# devices — through one short stock-policy run each.
-campaign-smoke:
-	rm -rf $(CAMPAIGN_STORE) $(PLATFORM_STORE)
-	$(PYTHON) -m repro campaign run --preset smoke --store $(CAMPAIGN_STORE) --jobs 2
-	$(PYTHON) -m repro campaign run --preset smoke --store $(CAMPAIGN_STORE) --jobs 2 --resume --format json \
-	  | $(PYTHON) -c "import json,sys; s=json.load(sys.stdin)['summary']; assert s['cached']==s['total']>0, s; print(f\"campaign-smoke: {s['cached']}/{s['total']} cached\")"
-	$(PYTHON) -m repro campaign run --preset platform-matrix --store $(PLATFORM_STORE) --jobs 2
 
 # Exercise the cross-process telemetry pipeline end to end: run the tiny
 # campaign with the deterministic watch dashboard and an SLO gate, then
@@ -96,4 +83,4 @@ calib-robust-smoke:
 perf:
 	$(PYTHON) benchmarks/perf/run.py --out $(PERF_OUT)
 
-check: lint validate-platforms test campaign-smoke telemetry-smoke calib-smoke calib-robust-smoke
+check: lint validate-platforms test telemetry-smoke calib-smoke calib-robust-smoke

@@ -9,8 +9,8 @@ a sweep the repository already performs serially elsewhere:
 * :func:`table1_seed_campaign` — the paper's Table I grid (each catalog
   app alone on the Nexus 6P, with and without thermal management) swept
   across seeds;
-* :func:`smoke_campaign` — a four-run miniature for CI and the
-  ``make campaign-smoke`` target;
+* :func:`smoke_campaign` — a four-run miniature for the CLI tests and the
+  ``make telemetry-smoke`` target;
 * :func:`platform_matrix_campaign` — one short stock-policy run on every
   platform in :mod:`repro.soc.registry`, proving that data-defined
   devices sweep through campaigns with no campaign-code changes;

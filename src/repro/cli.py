@@ -8,6 +8,8 @@ Commands regenerate the paper's artefacts or run one-off analyses:
 * ``budget --limit C`` — safe dynamic power for a thermal limit;
 * ``critical`` — the critical power of the Odroid-XU3 lumped model;
 * ``advise --app A`` — profile a catalog app and print tuning advice;
+  exits 2, before profiling, on a ``--limit`` at or below the platform's
+  effective ambient;
 * ``describe --platform P`` — dump a platform's thermal RC network;
 * ``platforms list|describe|validate`` — inspect the platform registry:
   the device catalogue, one definition's full data (``--format json`` is
@@ -39,7 +41,8 @@ Commands regenerate the paper's artefacts or run one-off analyses:
   ``--resume`` continues an interrupted campaign.  ``run --watch`` shows
   a live in-terminal dashboard (``--no-tty`` for plain deterministic
   lines), ``run --slo`` gates the exit code on an SLO spec, and
-  ``watch`` renders the dashboard for a store populated earlier.  See
+  ``watch`` renders the dashboard for a store populated earlier.  A spec
+  that parses but expands into an invalid scenario exits 2.  See
   ``docs/CAMPAIGNS.md``.
 * ``chaos`` — run the built-in fault-injection grid (every fault plan x
   policy x platform) and print the resilience report comparing how the
@@ -108,6 +111,17 @@ def _budget_limit_c(text: str) -> float:
             f"limit {value} degC is at or below the {ambient_c:.1f} degC ambient"
         )
     return value
+
+
+#: Exit code for input that argparse cannot check but that is rejected
+#: before any work is done: argparse's own code for a usage error.
+EXIT_USAGE = 2
+
+
+def _usage_error(message: str) -> SystemExit:
+    """Report ``message`` on stderr; raise the result to exit 2."""
+    print(message, file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
 
 
 def _maybe_export(args: argparse.Namespace, command: str, runs_fn) -> str:
@@ -227,6 +241,8 @@ def _build_platform(name: str):
 def _cmd_advise(args: argparse.Namespace) -> str:
     from repro.apps.catalog import CATALOG, make_app
     from repro.core.advisor import advise, render_advice
+    from repro.core.calibration import lump_platform
+    from repro.errors import StabilityError
     from repro.kernel.kernel import KernelConfig
     from repro.sim.engine import Simulation
 
@@ -236,8 +252,21 @@ def _cmd_advise(args: argparse.Namespace) -> str:
         _build_platform(args.platform), [make_app(args.app)],
         kernel_config=KernelConfig(), seed=args.seed,
     )
+    # The lumped model depends on the network alone, so a limit it cannot
+    # meet is rejected before the profiling run, not after.
+    lumped = lump_platform(sim.platform, sim.thermal)
+    if celsius_to_kelvin(args.limit) <= lumped.t_ambient_k:
+        raise _usage_error(
+            f"advise: limit {args.limit} degC is at or below the "
+            f"{kelvin_to_celsius(lumped.t_ambient_k):.1f} degC effective "
+            f"ambient of {args.platform}"
+        )
     sim.run(args.profile_s)
-    return render_advice(advise(sim, args.app, t_limit_c=args.limit))
+    try:
+        report = advise(sim, args.app, t_limit_c=args.limit, params=lumped)
+    except StabilityError as exc:
+        raise _usage_error(f"advise: {exc}") from None
+    return render_advice(report)
 
 
 def _cmd_describe(args: argparse.Namespace) -> str:
@@ -362,12 +391,16 @@ def _load_campaign_spec(args: argparse.Namespace):
 def _campaign_runner(args: argparse.Namespace, jobs: int = 1,
                      timeout_s: float | None = None, observer=None):
     from repro.campaign import CampaignRunner, ResultStore
+    from repro.errors import ConfigurationError
 
-    spec = _load_campaign_spec(args)
-    store = ResultStore(args.store)
-    return CampaignRunner(
-        spec, store, jobs=jobs, timeout_s=timeout_s, observer=observer,
-    )
+    try:
+        # The runner expands the grid, so every run is validated here.
+        return CampaignRunner(
+            _load_campaign_spec(args), ResultStore(args.store), jobs=jobs,
+            timeout_s=timeout_s, observer=observer,
+        )
+    except ConfigurationError as exc:
+        raise _usage_error(f"campaign: invalid spec: {exc}") from None
 
 
 def _resolve_slo_arg(ref):
@@ -503,12 +536,16 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignRunner, ResultStore
     from repro.campaign.presets import chaos_campaign
+    from repro.errors import ConfigurationError
     from repro.faults.report import resilience_report
 
-    spec = chaos_campaign(duration_s=args.duration, seed=args.seed)
-    runner = CampaignRunner(
-        spec, ResultStore(args.store), jobs=args.jobs, timeout_s=args.timeout
-    )
+    try:
+        runner = CampaignRunner(
+            chaos_campaign(duration_s=args.duration, seed=args.seed),
+            ResultStore(args.store), jobs=args.jobs, timeout_s=args.timeout,
+        )
+    except ConfigurationError as exc:
+        raise _usage_error(f"chaos: {exc}") from None
     campaign = runner.run()
     resilience = resilience_report(runner.runs, runner.results())
     if args.format == "json":

@@ -53,7 +53,6 @@ class Simulation:
         daq_rate_hz: float = 1000.0,
         battery=None,
         profile: bool = False,
-        thermal_integrator: str = "zoh",
     ) -> None:
         self.platform = platform
         self.seed = seed
@@ -83,7 +82,6 @@ class Simulation:
         )
         self.thermal = ThermalModel(
             platform.thermal, dt_s, ambient_k=ambient_k, initial_k=initial_k,
-            integrator=thermal_integrator,
         )
         self.kernel = Kernel(
             platform, self.thermal, self.clock, self.rng, kernel_config,

@@ -40,6 +40,10 @@ from repro.soc import registry as platform_registry
 
 POLICIES = ("none", "stock", "proposed")
 
+#: A run's summary (power breakdown, DAQ mean power) skips the first
+#: seconds of warm-up, so a scenario must run longer than this.
+SUMMARY_START_S = 5.0
+
 
 @dataclass(frozen=True)
 class AppSpec:
@@ -176,8 +180,11 @@ class Scenario:
             )
         if not self.apps:
             raise ConfigurationError("a scenario needs at least one app")
-        if self.duration_s <= 0.0:
-            raise ConfigurationError("duration must be positive")
+        if not self.duration_s > SUMMARY_START_S:
+            raise ConfigurationError(
+                f"duration must exceed the {SUMMARY_START_S:g} s warm-up the "
+                f"summary skips, got {self.duration_s}"
+            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             object.__setattr__(self, "faults", resolve_plan(self.faults))
 
@@ -313,8 +320,10 @@ class Scenario:
             fps=fps,
             peak_temp_c=float(np.max(temps)),
             end_temp_c=float(temps[-1]),
-            breakdown=breakdown_from_traces(sim.traces, rails, start_s=5.0),
-            mean_power_w=sim.daq.mean_power_w(start_s=5.0),
+            breakdown=breakdown_from_traces(
+                sim.traces, rails, start_s=SUMMARY_START_S
+            ),
+            mean_power_w=sim.daq.mean_power_w(start_s=SUMMARY_START_S),
             governor_events=events,
             fault_plan=fault_plan,
             faults_injected=faults_injected,

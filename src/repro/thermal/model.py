@@ -1,12 +1,18 @@
 """State-space thermal simulation with exact linear-step discretisation.
 
-The linear RC dynamics are discretised once with the matrix exponential
-(zero-order hold on the power inputs), so the integration is exact for the
-linear part at any step size.  Temperature-dependent leakage enters through
-the power inputs recomputed every step by the engine, i.e. the nonlinearity
-is handled explicitly — accurate for steps far below the thermal time
+The linear RC dynamics are discretised once, exactly, under a zero-order
+hold on the power inputs, so the integration is exact for the linear part
+at any step size.  Temperature-dependent leakage enters through the power
+inputs recomputed every step by the engine, i.e. the nonlinearity is
+handled explicitly — accurate for steps far below the thermal time
 constants (milliseconds vs. tens of seconds) and able to reproduce genuine
 thermal runaway.
+
+The discretisation needs no general matrix exponential.  A passive RC
+network has ``A = -C⁻¹G`` with ``G`` symmetric, so ``A`` is similar to the
+symmetric ``S = -C^{-1/2} G C^{-1/2}``; one symmetric eigendecomposition
+``S = V Λ Vᵀ`` gives ``e^{A dt}``, the input integral ``∫₀^dt e^{As} ds``,
+``A⁻¹`` and the poles, all exactly up to rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.thermal.rc_network import ThermalNetworkSpec
@@ -33,15 +38,7 @@ class ThermalModel:
         Ambient temperature in kelvin (changeable at runtime).
     initial_k:
         Initial temperature of every node; defaults to the ambient.
-    integrator:
-        ``"zoh"`` (default) discretises with the matrix exponential — exact
-        for the linear dynamics under zero-order-held power inputs at any
-        step size.  ``"euler"`` uses the explicit forward-Euler update
-        ``Ad = I + A·dt``; it is first-order accurate and only offered as a
-        reference stepper for convergence testing.
     """
-
-    INTEGRATORS = ("zoh", "euler")
 
     def __init__(
         self,
@@ -49,16 +46,9 @@ class ThermalModel:
         dt_s: float,
         ambient_k: float = 298.15,
         initial_k: float | None = None,
-        integrator: str = "zoh",
     ) -> None:
         if dt_s <= 0.0:
             raise ConfigurationError(f"thermal step must be positive, got {dt_s}")
-        if integrator not in self.INTEGRATORS:
-            raise ConfigurationError(
-                f"unknown thermal integrator {integrator!r}; "
-                f"choose from {self.INTEGRATORS}"
-            )
-        self._integrator = integrator
         self._base_spec = spec
         self._dt = float(dt_s)
         self._ambient_k = float(ambient_k)
@@ -72,49 +62,43 @@ class ThermalModel:
         start = self._ambient_k if initial_k is None else float(initial_k)
         self._state = np.full(len(self._nodes), start, dtype=float)
 
-    def _configure(self, spec) -> None:
+    def _configure(self, spec: ThermalNetworkSpec) -> None:
         """(Re)discretise the network; node temperatures are untouched."""
-        self._spec = spec
-        a_mat, b_mat, w_vec = spec.build_matrices()
-        self._a = a_mat
-        self._b = b_mat
-        self._w = w_vec
-        try:
-            a_inv = np.linalg.inv(a_mat)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError(
-                "thermal network has no path to ambient (A is singular)"
-            ) from exc
-        # Hurwitz check at build time: every continuous-time eigenvalue must
-        # sit strictly in the left half-plane, otherwise the network is not
-        # passive and no discretisation of it is trustworthy.
-        eigenvalues = np.linalg.eigvals(a_mat)
-        self._slowest_pole = max(ev.real for ev in eigenvalues)
-        if self._slowest_pole >= 0.0:
+        cap, conduct, to_ambient, split = spec.conductance_form()
+        self._b = split / cap[:, None]
+        self._w = to_ambient / cap
+        # S = -C^{-1/2} G C^{-1/2}: the outer product is symmetric bit for
+        # bit, and so is G, hence S too, which is what eigh assumes.
+        inv_sqrt = 1.0 / np.sqrt(cap)
+        poles, vecs = np.linalg.eigh(-conduct * np.outer(inv_sqrt, inv_sqrt))
+        # Hurwitz check at build time: every pole must sit strictly in the
+        # left half-plane.  A node group with no path to ambient has a zero
+        # pole that eigh returns as rounding dust of either sign, at most
+        # about n·eps·max|λ|; that is the threshold.
+        self._slowest_pole = float(poles[-1])
+        dust = len(poles) * np.finfo(float).eps * float(np.abs(poles).max())
+        if self._slowest_pole >= -dust:
             raise ConfigurationError(
                 "thermal network is not passive (A is not Hurwitz: "
-                f"max Re(eig) = {self._slowest_pole:g})"
+                f"max eig = {self._slowest_pole:g}); "
+                "does every node have a path to ambient?"
             )
-        if self._integrator == "euler":
-            self._ad = np.eye(len(self._nodes)) + a_mat * self._dt
-            self._bd = b_mat * self._dt
-            self._wd = w_vec * self._dt
-        else:
-            self._ad = expm(a_mat * self._dt)
-            gain = a_inv @ (self._ad - np.eye(len(self._nodes)))
-            self._bd = gain @ b_mat
-            self._wd = gain @ w_vec
-        self._a_inv = a_inv
+        # f(A) = C^{-1/2} V f(Λ) Vᵀ C^{1/2} for each function of A needed.
+        left = inv_sqrt[:, None] * vecs
+        right = vecs.T * np.sqrt(cap)[None, :]
+        scaled = poles * self._dt
+        self._ad = (left * np.exp(scaled)) @ right
+        # The input integral ∫₀^dt e^{As} ds = A⁻¹(e^{A dt} - I), taken
+        # through expm1 so that |λ|·dt << 1 loses no digits to e^{λdt} - 1.
+        hold = (left * (np.expm1(scaled) / poles)) @ right
+        self._bd = hold @ self._b
+        self._wd = hold @ self._w
+        self._a_inv = (left / poles) @ right
 
     @property
     def dt_s(self) -> float:
         """Step size in seconds."""
         return self._dt
-
-    @property
-    def integrator(self) -> str:
-        """Discretisation mode: ``"zoh"`` or ``"euler"``."""
-        return self._integrator
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -145,9 +129,9 @@ class ThermalModel:
 
         Models degraded convection at runtime — a fan stopping, blocked
         case vents — while preserving the node temperatures.  ``scale=1``
-        restores the as-built network.  The rebuild is exact: the matrix
-        exponential is recomputed from the scaled continuous-time network,
-        so integration accuracy is unchanged.
+        restores the as-built network.  The rebuild is exact: the scaled
+        continuous-time network is discretised afresh by the same
+        eigendecomposition, so integration accuracy is unchanged.
         """
         if scale <= 0.0:
             raise ConfigurationError(
@@ -231,7 +215,4 @@ class ThermalModel:
 
     def dominant_time_constant_s(self) -> float:
         """Slowest thermal time constant (seconds)."""
-        slowest = self._slowest_pole
-        if slowest >= 0.0:  # pragma: no cover - _configure rejects these
-            raise SimulationError("thermal network is not passive (unstable A)")
-        return -1.0 / slowest
+        return -1.0 / self._slowest_pole

@@ -113,12 +113,16 @@ class ThermalNetworkSpec:
         """Rails with a power split, in declaration order (input order)."""
         return tuple(self.power_split)
 
-    def build_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return continuous-time ``(A, B, w)``.
+    def conductance_form(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(c, G, g_amb, S)`` of ``C dT/dt = -G T + g_amb T_amb + S P``.
 
-        State is the node-temperature vector in declaration order; inputs are
-        the per-rail powers in ``rail_names`` order; ``w`` multiplies the
-        ambient temperature.
+        ``c`` holds the node capacitances (``C = diag(c)``); ``G`` is the
+        symmetric conductance matrix, symmetric bit for bit because both
+        off-diagonal entries of a link accumulate the same values in the
+        same order; ``g_amb`` is each node's total conductance to the
+        ambient; ``S`` is the rail-to-node power split.
         """
         names = self.node_names
         index = {name: i for i, name in enumerate(names)}
@@ -144,6 +148,16 @@ class ThermalNetworkSpec:
         for r, rail in enumerate(rails):
             for node, frac in self.power_split[rail].items():
                 split[index[node], r] = frac
+        return cap, conduct, to_ambient, split
+
+    def build_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return continuous-time ``(A, B, w)``.
+
+        State is the node-temperature vector in declaration order; inputs are
+        the per-rail powers in ``rail_names`` order; ``w`` multiplies the
+        ambient temperature.
+        """
+        cap, conduct, to_ambient, split = self.conductance_form()
         a_mat = -conduct / cap[:, None]
         b_mat = split / cap[:, None]
         w_vec = to_ambient / cap

@@ -4,17 +4,18 @@ import json
 
 import pytest
 
-from repro.campaign import PRESETS, CampaignRunner, ResultStore
+from repro.campaign import PRESETS
 from repro.cli import main
 from repro.sim.experiment import AppSpec
+from repro.soc.registry import platform_names
 
 
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory):
     """A store with the smoke preset fully cached (built once, reused)."""
     root = tmp_path_factory.mktemp("warm") / "store"
-    report = CampaignRunner(PRESETS["smoke"](), ResultStore(root), jobs=2).run()
-    assert report.ok
+    assert campaign("run", "--preset", "smoke", "--store", str(root),
+                    "--jobs", "2") == 0
     return root
 
 
@@ -84,9 +85,21 @@ def test_resume_requires_a_manifest(tmp_path):
 
 def test_resume_on_warm_store_is_all_cached(warm_store, capsys):
     assert campaign("run", "--preset", "smoke", "--store", str(warm_store),
-                    "--resume", "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["cached"] == 4
+                    "--jobs", "2", "--resume", "--format", "json") == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["cached"] == summary["total"] == 4
+    assert summary["completed"] == summary["failed"] == 0
+
+
+def test_platform_matrix_runs_every_platform(tmp_path, capsys):
+    """One stock run per registered platform, each through the thermal
+    discretisation of its own network."""
+    assert campaign("run", "--preset", "platform-matrix",
+                    "--store", str(tmp_path), "--jobs", "2",
+                    "--format", "json") == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["completed"] == summary["total"] == len(platform_names())
+    assert summary["failed"] == summary["cached"] == 0
 
 
 def test_spec_and_preset_are_mutually_exclusive(tmp_path):
@@ -107,6 +120,26 @@ def test_unknown_preset_and_bad_spec_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SystemExit):
         campaign("status", "--spec", str(bad), "--store", str(tmp_path))
+
+
+def test_spec_with_a_too_short_run_is_a_usage_error(tmp_path, capsys):
+    spec = {
+        "name": "cli-short",
+        "base": {
+            "platform": "odroid-xu3",
+            "apps": [{"kind": "catalog", "name": "stickman", "cluster": None}],
+        },
+        "axes": [{"name": "duration_s", "values": [6.0, 3.0]}],
+    }
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        campaign("run", "--spec", str(spec_file),
+                 "--store", str(tmp_path / "store"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "campaign: invalid spec" in err and "warm-up" in err
+    assert not (tmp_path / "store" / "cli-short").exists()
 
 
 def test_failed_campaign_exits_nonzero(tmp_path, capsys):

@@ -17,7 +17,7 @@ from repro.apps.mibench import MIBENCH_SUITE
 from repro.campaign.spec import Axis, CampaignSpec, canonical_json
 from repro.core.governor import GovernorConfig
 from repro.errors import ConfigurationError
-from repro.sim.experiment import AppSpec, Scenario
+from repro.sim.experiment import SUMMARY_START_S, AppSpec, Scenario
 
 # --------------------------------------------------------------- strategies
 
@@ -53,7 +53,8 @@ scenarios = st.builds(
     platform=st.sampled_from(["nexus6p", "odroid-xu3"]),
     apps=st.lists(app_specs, min_size=1, max_size=3).map(tuple),
     policy=st.sampled_from(["none", "stock", "proposed"]),
-    duration_s=st.floats(1.0, 600.0, **_finite),
+    # A scenario must outlast the warm-up its summary skips.
+    duration_s=st.floats(SUMMARY_START_S, 600.0, exclude_min=True, **_finite),
     seed=st.integers(0, 2**31 - 1),
     t_limit_c=st.one_of(st.none(), st.floats(40.0, 100.0, **_finite)),
     governor=st.one_of(st.none(), governor_configs()),

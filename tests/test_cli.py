@@ -147,6 +147,41 @@ def test_advise_unknown_app():
         main(["advise", "--app", "tiktok"])
 
 
+@pytest.mark.parametrize("limit", ["20", "29.9"])
+def test_advise_limit_at_or_below_ambient_is_rejected_before_profiling(
+    limit, monkeypatch, capsys
+):
+    # nexus6p's lumped model sees a 29.9 degC effective ambient (board
+    # power included): no safe budget exists at or below it.
+    from repro.sim.engine import Simulation
+
+    def no_profiling(self, duration_s):
+        raise AssertionError("profiled before rejecting the limit")
+
+    monkeypatch.setattr(Simulation, "run", no_profiling)
+    with pytest.raises(SystemExit) as exc:
+        main(["advise", "--app", "hangouts", "--limit", limit])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "at or below" in err and "effective ambient of nexus6p" in err
+    assert "Traceback" not in err
+
+
+def test_advise_maps_a_stability_error_to_exit_2(monkeypatch, capsys):
+    import repro.core.advisor as advisor
+    from repro.errors import StabilityError
+
+    def unstable(*args, **kwargs):
+        raise StabilityError("no stable fixed point")
+
+    monkeypatch.setattr(advisor, "advise", unstable)
+    with pytest.raises(SystemExit) as exc:
+        main(["advise", "--app", "hangouts", "--limit", "50",
+              "--profile-s", "6"])
+    assert exc.value.code == 2
+    assert "advise: no stable fixed point" in capsys.readouterr().err
+
+
 def test_metrics_command(capsys):
     main(["metrics", "--app", "hangouts", "--duration", "2"])
     out = capsys.readouterr().out

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.experiment import AppSpec, Scenario, compare_policies
+from repro.sim.experiment import (
+    SUMMARY_START_S,
+    AppSpec,
+    Scenario,
+    compare_policies,
+)
 
 
 def test_appspec_validation():
@@ -23,6 +28,23 @@ def test_scenario_validation():
         Scenario(platform="nexus6p", apps=())
     with pytest.raises(ConfigurationError):
         Scenario(platform="nexus6p", apps=apps, duration_s=0.0)
+
+
+@pytest.mark.parametrize("duration_s", [0.5, 2.0, SUMMARY_START_S, float("nan")])
+def test_scenario_shorter_than_the_summary_warmup_is_rejected(duration_s):
+    # The summary averages from SUMMARY_START_S on: a run that ends by
+    # then has no samples to summarise, so it must not start at all.
+    with pytest.raises(ConfigurationError, match="warm-up"):
+        Scenario(platform="odroid-xu3", apps=(AppSpec.catalog("stickman"),),
+                 duration_s=duration_s)
+
+
+def test_scenario_just_past_the_summary_warmup_runs():
+    result = Scenario(
+        platform="odroid-xu3", apps=(AppSpec.catalog("stickman"),),
+        duration_s=SUMMARY_START_S + 0.01,
+    ).run()
+    assert result.mean_power_w > 0.0
 
 
 def test_scenario_runs_and_summarises():
