@@ -11,7 +11,7 @@ LINT_CACHE ?= /tmp/repro-lint-cache.json
 PERF_OUT ?= /tmp/repro-perf.jsonl
 
 .PHONY: lint lint-fast lint-full test check \
-	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke perf
+	telemetry-smoke validate-platforms calib-robust-smoke perf
 
 lint:
 	$(PYTHON) -m repro lint
@@ -45,18 +45,6 @@ telemetry-smoke:
 	cd benchmarks && PYTHONPATH=$(CURDIR)/src \
 	  $(PYTHON) -m pytest -x -q bench_telemetry_overhead.py
 
-# Close the calibration loop at reduced scale: excite a registered board,
-# fit a definition from the trace alone, and validate the fitted JSON as
-# an out-of-tree platform (docs/CALIBRATION.md).
-calib-smoke:
-	rm -rf $(CALIB_DIR) && mkdir -p $(CALIB_DIR)
-	$(PYTHON) -m repro platforms excite --platform odroid-xu3 \
-	  --dwell-s 0.5 --soak-s 4 --cooldown-s 8 --max-opps 4 \
-	  --out $(CALIB_DIR)/trace.json
-	$(PYTHON) -m repro platforms fit --trace $(CALIB_DIR)/trace.json \
-	  --name odroid-xu3-refit --out $(CALIB_DIR)/fitted.json --register
-	$(PYTHON) -m repro platforms validate --file $(CALIB_DIR)/fitted.json
-
 # Close the loop through a degraded capture: excite, apply the contract
 # degradation model (millidegree quantization + record drops + spikes),
 # fit robustly, validate the fitted JSON, and gate the robust fit's wall
@@ -83,4 +71,4 @@ calib-robust-smoke:
 perf:
 	$(PYTHON) benchmarks/perf/run.py --out $(PERF_OUT)
 
-check: lint validate-platforms test telemetry-smoke calib-smoke calib-robust-smoke
+check: lint validate-platforms test telemetry-smoke calib-robust-smoke

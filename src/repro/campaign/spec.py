@@ -97,6 +97,17 @@ def _normalize_apps_value(value) -> tuple[AppSpec, ...]:
     return tuple(out)
 
 
+def _require_keys(data, keys: Sequence[str], what: str) -> None:
+    """Reject ``data`` unless it is a mapping holding every key in ``keys``."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(data).__name__}"
+        )
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigurationError(f"{what}: missing key(s) {missing}")
+
+
 def _jsonable_axis_value(name: str, value):
     if name == "apps":
         return [spec.to_dict() for spec in value]
@@ -151,6 +162,7 @@ class Axis:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Axis":
         """Inverse of :meth:`to_dict` (``apps`` dicts become AppSpecs)."""
+        _require_keys(data, ("name", "values"), "axis")
         return cls(name=data["name"], values=tuple(data["values"]))
 
 
@@ -275,7 +287,8 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
+        """Inverse of :meth:`to_dict`; rejects missing and unknown keys."""
+        _require_keys(data, ("name",), "campaign spec")
         unknown = set(data) - {"name", "base", "axes"}
         if unknown:
             raise ConfigurationError(

@@ -7,9 +7,9 @@ Commands regenerate the paper's artefacts or run one-off analyses:
 * ``stability --power P`` — classify one operating point;
 * ``budget --limit C`` — safe dynamic power for a thermal limit;
 * ``critical`` — the critical power of the Odroid-XU3 lumped model;
-* ``advise --app A`` — profile a catalog app and print tuning advice;
-  exits 2, before profiling, on a ``--limit`` at or below the platform's
-  effective ambient;
+* ``advise --app A`` — profile a catalog app and print tuning advice
+  (a ``--limit`` at or below the platform's effective ambient is rejected
+  before profiling);
 * ``describe --platform P`` — dump a platform's thermal RC network;
 * ``platforms list|describe|validate`` — inspect the platform registry:
   the device catalogue, one definition's full data (``--format json`` is
@@ -20,8 +20,7 @@ Commands regenerate the paper's artefacts or run one-off analyses:
   an identification-grade excitation trace of a registered platform,
   degrade it with a declarative sensor-pathology model (quantization,
   noise, drops, spikes, jitter), or fit a registrable PlatformDef from a
-  trace alone (``docs/CALIBRATION.md``).  ``fit`` exits 2 on an unusable
-  trace and 3 when the fit completed but had to demote stages;
+  trace alone (``docs/CALIBRATION.md``);
 * ``metrics --app A`` — run an app and print its Prometheus metrics
   (``--format json`` prints the canonical registry snapshot instead);
 * ``trace --app A`` — run an app and print its span/ftrace event log
@@ -41,8 +40,7 @@ Commands regenerate the paper's artefacts or run one-off analyses:
   ``--resume`` continues an interrupted campaign.  ``run --watch`` shows
   a live in-terminal dashboard (``--no-tty`` for plain deterministic
   lines), ``run --slo`` gates the exit code on an SLO spec, and
-  ``watch`` renders the dashboard for a store populated earlier.  A spec
-  that parses but expands into an invalid scenario exits 2.  See
+  ``watch`` renders the dashboard for a store populated earlier.  See
   ``docs/CAMPAIGNS.md``.
 * ``chaos`` — run the built-in fault-injection grid (every fault plan x
   policy x platform) and print the resilience report comparing how the
@@ -54,6 +52,12 @@ Commands regenerate the paper's artefacts or run one-off analyses:
 each underlying run's full observability bundle — ``manifest.json``,
 ``metrics.prom``, ``events.jsonl`` and per-channel trace CSVs (see
 ``docs/OBSERVABILITY.md``).
+
+Exit codes, shared by every command but ``lint`` (whose own contract is in
+``docs/STATIC_ANALYSIS.md``): 0 success; 1 a gate the command evaluated
+failed (a failed campaign run, an SLO breach, a hardening regression); 2
+bad input, reported as one ``repro <command>: <message>`` line on stderr;
+3 a calibration fit that completed but demoted stages.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ from repro.analysis.tables import render_table
 from repro.core.budget import safe_power_budget_w
 from repro.core.fixed_point import analyze, critical_power_w
 from repro.core.stability import ODROID_XU3_LUMPED
+from repro.errors import (
+    CalibrationError, ConfigurationError, FaultInjectionError, StabilityError,
+)
 from repro.soc.snapdragon810 import NEXUS6P
 from repro.units import celsius_to_kelvin, hz_to_mhz, kelvin_to_celsius
 
@@ -113,15 +120,30 @@ def _budget_limit_c(text: str) -> float:
     return value
 
 
-#: Exit code for input that argparse cannot check but that is rejected
-#: before any work is done: argparse's own code for a usage error.
+#: Exit code for bad input: argparse's own code for a usage error, and
+#: what :func:`main` returns for every error in :data:`_INPUT_ERRORS`.
 EXIT_USAGE = 2
 
+#: Exit code for a fit that completed but demoted at least one stage
+#: (``unfitted``/``low_confidence`` verdicts in the report).
+EXIT_DEGRADED_FIT = 3
 
-def _usage_error(message: str) -> SystemExit:
-    """Report ``message`` on stderr; raise the result to exit 2."""
-    print(message, file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
+#: Errors that mean the input was wrong.  Every path the CLI opens comes
+#: from a flag, so an ``OSError`` is one too.  Anything else is a bug and
+#: keeps its traceback.
+_INPUT_ERRORS = (
+    ConfigurationError, CalibrationError, StabilityError, FaultInjectionError,
+    OSError,
+)
+
+
+def _read_json(path: str):
+    """Parse the JSON file a flag names; malformed JSON is a usage error."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _maybe_export(args: argparse.Namespace, command: str, runs_fn) -> str:
@@ -227,66 +249,53 @@ def _cmd_budget(args: argparse.Namespace) -> str:
     )
 
 
-def _build_platform(name: str):
-    """Resolve a platform name through the registry, exiting nicely."""
-    from repro.errors import ConfigurationError
+def _catalog_sim(args: argparse.Namespace, **kwargs):
+    """A simulation of one catalog app (``--app``) on ``--platform``."""
+    from repro.apps.catalog import CATALOG, make_app
+    from repro.kernel.kernel import KernelConfig
+    from repro.sim.engine import Simulation
     from repro.soc import registry as platform_registry
 
-    try:
-        return platform_registry.build(name)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    if args.app not in CATALOG:
+        raise ConfigurationError(
+            f"unknown app {args.app!r}; have {sorted(CATALOG)}"
+        )
+    return Simulation(
+        platform_registry.build(args.platform), [make_app(args.app)],
+        kernel_config=KernelConfig(), seed=args.seed, **kwargs,
+    )
 
 
 def _cmd_advise(args: argparse.Namespace) -> str:
-    from repro.apps.catalog import CATALOG, make_app
     from repro.core.advisor import advise, render_advice
     from repro.core.calibration import lump_platform
-    from repro.errors import StabilityError
-    from repro.kernel.kernel import KernelConfig
-    from repro.sim.engine import Simulation
 
-    if args.app not in CATALOG:
-        raise SystemExit(f"unknown app {args.app!r}; have {sorted(CATALOG)}")
-    sim = Simulation(
-        _build_platform(args.platform), [make_app(args.app)],
-        kernel_config=KernelConfig(), seed=args.seed,
-    )
+    sim = _catalog_sim(args)
     # The lumped model depends on the network alone, so a limit it cannot
     # meet is rejected before the profiling run, not after.
     lumped = lump_platform(sim.platform, sim.thermal)
     if celsius_to_kelvin(args.limit) <= lumped.t_ambient_k:
-        raise _usage_error(
-            f"advise: limit {args.limit} degC is at or below the "
+        raise ConfigurationError(
+            f"limit {args.limit} degC is at or below the "
             f"{kelvin_to_celsius(lumped.t_ambient_k):.1f} degC effective "
             f"ambient of {args.platform}"
         )
     sim.run(args.profile_s)
-    try:
-        report = advise(sim, args.app, t_limit_c=args.limit, params=lumped)
-    except StabilityError as exc:
-        raise _usage_error(f"advise: {exc}") from None
-    return render_advice(report)
+    return render_advice(
+        advise(sim, args.app, t_limit_c=args.limit, params=lumped)
+    )
 
 
 def _cmd_describe(args: argparse.Namespace) -> str:
+    from repro.soc import registry as platform_registry
     from repro.thermal.describe import describe_network
 
-    return describe_network(_build_platform(args.platform).thermal)
+    return describe_network(platform_registry.build(args.platform).thermal)
 
 
 def _run_catalog_app(args: argparse.Namespace):
     """Run one catalog app on a platform model for the obs commands."""
-    from repro.apps.catalog import CATALOG, make_app
-    from repro.kernel.kernel import KernelConfig
-    from repro.sim.engine import Simulation
-
-    if args.app not in CATALOG:
-        raise SystemExit(f"unknown app {args.app!r}; have {sorted(CATALOG)}")
-    sim = Simulation(
-        _build_platform(args.platform), [make_app(args.app)],
-        kernel_config=KernelConfig(), seed=args.seed, profile=args.profile,
-    )
+    sim = _catalog_sim(args, profile=args.profile)
     sim.run(args.duration)
     return sim
 
@@ -368,52 +377,34 @@ def _load_campaign_spec(args: argparse.Namespace):
     from repro.campaign import PRESETS, CampaignSpec
 
     if bool(args.spec) == bool(args.preset):
-        raise SystemExit(
-            "campaign: give exactly one of --spec FILE or --preset NAME"
+        raise ConfigurationError(
+            "give exactly one of --spec FILE or --preset NAME"
         )
-    if args.preset:
-        try:
-            return PRESETS[args.preset]()
-        except KeyError:
-            raise SystemExit(
-                f"unknown preset {args.preset!r}; have {sorted(PRESETS)}"
-            ) from None
-    try:
-        with open(args.spec) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise SystemExit(f"campaign: cannot read spec: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"campaign: malformed spec JSON: {exc}") from None
-    return CampaignSpec.from_dict(data)
+    if args.spec:
+        return CampaignSpec.from_dict(_read_json(args.spec))
+    if args.preset not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {args.preset!r}; have {sorted(PRESETS)}"
+        )
+    return PRESETS[args.preset]()
 
 
 def _campaign_runner(args: argparse.Namespace, jobs: int = 1,
                      timeout_s: float | None = None, observer=None):
     from repro.campaign import CampaignRunner, ResultStore
-    from repro.errors import ConfigurationError
 
-    try:
-        # The runner expands the grid, so every run is validated here.
-        return CampaignRunner(
-            _load_campaign_spec(args), ResultStore(args.store), jobs=jobs,
-            timeout_s=timeout_s, observer=observer,
-        )
-    except ConfigurationError as exc:
-        raise _usage_error(f"campaign: invalid spec: {exc}") from None
+    # The runner expands the grid, so every run is validated here.
+    return CampaignRunner(
+        _load_campaign_spec(args), ResultStore(args.store), jobs=jobs,
+        timeout_s=timeout_s, observer=observer,
+    )
 
 
 def _resolve_slo_arg(ref):
-    """Resolve an ``--slo`` value, exiting nicely on a bad reference."""
-    from repro.errors import ConfigurationError
+    """Resolve an optional ``--slo`` value (built-in name or JSON file)."""
     from repro.obs.telemetry import resolve_slo
 
-    if ref is None:
-        return None
-    try:
-        return resolve_slo(ref)
-    except ConfigurationError as exc:
-        raise SystemExit(f"slo: {exc}") from None
+    return None if ref is None else resolve_slo(ref)
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -429,8 +420,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         args, jobs=args.jobs, timeout_s=args.timeout, observer=observer,
     )
     if args.resume and runner.store.load_campaign_manifest(runner.spec.name) is None:
-        raise SystemExit(
-            f"campaign: nothing to resume — no manifest for "
+        raise ConfigurationError(
+            f"nothing to resume — no manifest for "
             f"{runner.spec.name!r} under {args.store}"
         )
     report = runner.run()
@@ -512,22 +503,16 @@ def _cmd_campaign_results(args: argparse.Namespace) -> int:
 
 def _cmd_obs_check(args: argparse.Namespace) -> int:
     from repro.campaign import ResultStore
-    from repro.errors import ConfigurationError
     from repro.obs.telemetry import CampaignAggregate
 
     slo = _resolve_slo_arg(args.slo)
-    store = ResultStore(args.store)
-    data = store.load_aggregate(args.campaign)
+    data = ResultStore(args.store).load_aggregate(args.campaign)
     if data is None:
-        raise SystemExit(
-            f"obs check: no aggregate for campaign {args.campaign!r} under "
+        raise ConfigurationError(
+            f"no aggregate for campaign {args.campaign!r} under "
             f"{args.store} — run `repro campaign run` first"
         )
-    try:
-        aggregate = CampaignAggregate.from_dict(data)
-    except ConfigurationError as exc:
-        raise SystemExit(f"obs check: {exc}") from None
-    report = slo.evaluate(aggregate)
+    report = slo.evaluate(CampaignAggregate.from_dict(data))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
           if args.format == "json" else report.render_text())
     return 0 if report.ok else 1
@@ -536,16 +521,12 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignRunner, ResultStore
     from repro.campaign.presets import chaos_campaign
-    from repro.errors import ConfigurationError
     from repro.faults.report import resilience_report
 
-    try:
-        runner = CampaignRunner(
-            chaos_campaign(duration_s=args.duration, seed=args.seed),
-            ResultStore(args.store), jobs=args.jobs, timeout_s=args.timeout,
-        )
-    except ConfigurationError as exc:
-        raise _usage_error(f"chaos: {exc}") from None
+    runner = CampaignRunner(
+        chaos_campaign(duration_s=args.duration, seed=args.seed),
+        ResultStore(args.store), jobs=args.jobs, timeout_s=args.timeout,
+    )
     campaign = runner.run()
     resilience = resilience_report(runner.runs, runner.results())
     if args.format == "json":
@@ -590,14 +571,10 @@ def _cmd_platforms_list(args: argparse.Namespace) -> str:
 
 
 def _cmd_platforms_describe(args: argparse.Namespace) -> str:
-    from repro.errors import ConfigurationError
     from repro.soc import registry as platform_registry
     from repro.thermal.describe import describe_network
 
-    try:
-        pdef = platform_registry.get(args.platform)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    pdef = platform_registry.get(args.platform)
     if args.format == "json":
         return json.dumps(pdef.to_dict(), indent=2, sort_keys=True)
     spec = pdef.compile()
@@ -631,30 +608,16 @@ def _cmd_platforms_describe(args: argparse.Namespace) -> str:
 
 
 def _cmd_platforms_validate(args: argparse.Namespace) -> str:
-    from repro.errors import ConfigurationError
     from repro.soc import registry as platform_registry
     from repro.soc.defs import PlatformDef
 
     if args.file:
-        try:
-            with open(args.file) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise SystemExit(f"platforms: cannot read {args.file}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"platforms: malformed JSON: {exc}") from None
-        try:
-            pdef = PlatformDef.from_dict(data)
-            pdef.validate()
-        except ConfigurationError as exc:
-            raise SystemExit(f"platforms: invalid definition: {exc}") from None
+        pdef = PlatformDef.from_dict(_read_json(args.file))
+        pdef.validate()
         return f"{pdef.name}: OK"
     lines = []
     for name in platform_registry.platform_names():
-        try:
-            platform_registry.get(name).validate()
-        except ConfigurationError as exc:
-            raise SystemExit(f"platforms: {name}: {exc}") from None
+        platform_registry.get(name).validate()
         lines.append(f"{name}: OK")
     lines.append(f"{len(lines)} platform definition(s) valid")
     return "\n".join(lines)
@@ -662,25 +625,18 @@ def _cmd_platforms_validate(args: argparse.Namespace) -> str:
 
 def _cmd_platforms_excite(args: argparse.Namespace) -> str:
     from repro.calib import ExcitationConfig, run_excitation
-    from repro.errors import ConfigurationError
 
-    try:
-        config = ExcitationConfig(
-            dwell_s=args.dwell_s,
-            max_opps_per_domain=args.max_opps,
-            soak_s=args.soak_s,
-            cooldown_s=args.cooldown_s,
-        )
-        trace = run_excitation(args.platform, seed=args.seed, config=config)
-    except ConfigurationError as exc:
-        raise SystemExit(f"platforms: {exc}") from None
+    config = ExcitationConfig(
+        dwell_s=args.dwell_s,
+        max_opps_per_domain=args.max_opps,
+        soak_s=args.soak_s,
+        cooldown_s=args.cooldown_s,
+    )
+    trace = run_excitation(args.platform, seed=args.seed, config=config)
     text = trace.to_json(indent=None) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise SystemExit(f"platforms: cannot write {args.out}: {exc}") from None
+        with open(args.out, "w") as handle:
+            handle.write(text)
         return (
             f"{args.platform}: excitation trace "
             f"({trace.duration_s():.1f} s, {len(trace.names())} channels) "
@@ -689,35 +645,15 @@ def _cmd_platforms_excite(args: argparse.Namespace) -> str:
     return text.rstrip("\n")
 
 
-#: Exit code for an unusable trace or degradation model (unreadable file,
-#: malformed/truncated JSON, wrong wire format, absent channels).
-EXIT_TRACE_ERROR = 2
-
-#: Exit code for a fit that completed but demoted at least one stage
-#: (``unfitted``/``low_confidence`` verdicts in the report).
-EXIT_DEGRADED_FIT = 3
-
-
-def _cmd_platforms_degrade(args: argparse.Namespace):
+def _cmd_platforms_degrade(args: argparse.Namespace) -> str:
     from repro.calib import load_trace_file, resolve_model
-    from repro.errors import CalibrationError, ConfigurationError
 
-    try:
-        trace = load_trace_file(args.trace)
-        model = resolve_model(args.model)
-        degraded = model.apply(trace, seed=args.seed)
-    except (CalibrationError, ConfigurationError) as exc:
-        print(f"platforms: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
+    trace = load_trace_file(args.trace)
+    degraded = resolve_model(args.model).apply(trace, seed=args.seed)
     text = degraded.to_json(indent=None) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise SystemExit(
-                f"platforms: cannot write {args.out}: {exc}"
-            ) from None
+        with open(args.out, "w") as handle:
+            handle.write(text)
         return (
             f"{args.trace}: degraded with {args.model!r} "
             f"(seed {args.seed}) -> {args.out}"
@@ -727,37 +663,21 @@ def _cmd_platforms_degrade(args: argparse.Namespace):
 
 def _cmd_platforms_fit(args: argparse.Namespace):
     from repro.calib import fit_platform, load_trace_file
-    from repro.errors import CalibrationError, ConfigurationError
     from repro.soc import registry as platform_registry
 
-    try:
-        trace = load_trace_file(args.trace)
-    except CalibrationError as exc:
-        print(f"platforms: bad trace: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
-    try:
-        pdef, report = fit_platform(trace, name=args.name, robust=args.robust)
-    except CalibrationError as exc:
-        # Only robust="off" lets stage errors propagate this far; a trace
-        # defect is a trace problem, so it shares the trace exit code.
-        print(f"platforms: fit failed: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
-    except ConfigurationError as exc:
-        raise SystemExit(f"platforms: fit failed: {exc}") from None
+    # Only robust="off" lets a stage's CalibrationError propagate out of
+    # the fit; like an unreadable trace, it is a defect of the input.
+    pdef, report = fit_platform(
+        load_trace_file(args.trace), name=args.name, robust=args.robust,
+    )
     lines = []
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                json.dump(pdef.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"platforms: cannot write {args.out}: {exc}") from None
+        with open(args.out, "w") as handle:
+            json.dump(pdef.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
         lines.append(f"{pdef.name}: fitted definition -> {args.out}")
     if args.register:
-        try:
-            platform_registry.register(pdef)
-        except ConfigurationError as exc:
-            raise SystemExit(f"platforms: cannot register: {exc}") from None
+        platform_registry.register(pdef)
         lines.append(f"{pdef.name}: registered (this process)")
     if args.format == "json":
         output = json.dumps(
@@ -1044,11 +964,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Command functions either return the text to print (exit code 0) or —
     for commands with meaningful exit codes, like ``lint`` — print their
-    own output and return the code as an int.
+    own output and return the code as an int.  They report bad input by
+    raising; this is the one place that turns such an error into
+    :data:`EXIT_USAGE` and a one-line message.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    result = args.fn(args)
+    try:
+        result = args.fn(args)
+    except _INPUT_ERRORS as exc:
+        command = " ".join(
+            filter(None, (args.command, getattr(args, "action", None)))
+        )
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if isinstance(result, int):
         return result
     print(result)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Mapping
 
 from repro.errors import ConfigurationError
@@ -321,14 +321,18 @@ class PlatformDef:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PlatformDef":
-        """Inverse of :meth:`to_dict`; rejects unknown fields."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - known
-        if unknown:
+        """Inverse of :meth:`to_dict`; rejects missing and unknown fields."""
+        if not isinstance(data, Mapping):
             raise ConfigurationError(
-                f"unknown PlatformDef field(s) {sorted(unknown)}; "
-                f"have {sorted(known)}"
+                f"PlatformDef must be a JSON object, got {type(data).__name__}"
             )
+        fields = dataclass_fields(cls)
+        required = frozenset(
+            f.name for f in fields
+            if f.default is MISSING and f.default_factory is MISSING
+        )
+        _check_keys(data, required, frozenset(f.name for f in fields),
+                    "PlatformDef")
         kwargs = dict(data)
         for key in ("clusters", "sensors"):
             if key in kwargs:

@@ -41,3 +41,25 @@ def odroid_sim(odroid_platform):
 def nexus_sim(nexus_platform):
     """A bare Nexus 6P simulation."""
     return Simulation(nexus_platform, kernel_config=KernelConfig(), seed=1)
+
+
+@pytest.fixture()
+def usage_error(capsys):
+    """Check a ``repro.cli.main`` exit: bad input, reported on one line.
+
+    ``usage_error(code, *fragments)`` asserts exit 2 and a stderr of one
+    ``repro <command>: ...`` line holding every fragment (no traceback),
+    and returns that line.
+    """
+    from repro.cli import EXIT_USAGE
+
+    def check(code, *fragments):
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("repro "), err
+        for fragment in fragments:
+            assert fragment in err
+        return err
+
+    return check

@@ -169,7 +169,7 @@ def test_robust_modes_documented(doc_text):
 
 
 def test_exit_codes_documented(doc_text):
-    from repro.cli import EXIT_DEGRADED_FIT, EXIT_TRACE_ERROR
+    from repro.cli import EXIT_DEGRADED_FIT, EXIT_USAGE
 
-    assert f"`{EXIT_TRACE_ERROR}`" in doc_text
+    assert f"`{EXIT_USAGE}`" in doc_text
     assert f"`{EXIT_DEGRADED_FIT}`" in doc_text

@@ -77,10 +77,10 @@ def test_results_reports_missing_runs(tmp_path, capsys):
     assert "4 run(s) not cached yet" in out
 
 
-def test_resume_requires_a_manifest(tmp_path):
-    with pytest.raises(SystemExit):
-        campaign("run", "--preset", "smoke", "--store", str(tmp_path),
-                 "--resume")
+def test_resume_requires_a_manifest(tmp_path, usage_error):
+    usage_error(campaign("run", "--preset", "smoke", "--store", str(tmp_path),
+                         "--resume"),
+                "repro campaign run: nothing to resume")
 
 
 def test_resume_on_warm_store_is_all_cached(warm_store, capsys):
@@ -102,27 +102,29 @@ def test_platform_matrix_runs_every_platform(tmp_path, capsys):
     assert summary["failed"] == summary["cached"] == 0
 
 
-def test_spec_and_preset_are_mutually_exclusive(tmp_path):
-    with pytest.raises(SystemExit):
-        campaign("run", "--preset", "smoke", "--spec", "x.json",
-                 "--store", str(tmp_path))
-    with pytest.raises(SystemExit):
-        campaign("run", "--store", str(tmp_path))
+def test_spec_and_preset_are_mutually_exclusive(tmp_path, usage_error):
+    usage_error(campaign("run", "--preset", "smoke", "--spec", "x.json",
+                         "--store", str(tmp_path)),
+                "repro campaign run: give exactly one of")
+    usage_error(campaign("run", "--store", str(tmp_path)),
+                "repro campaign run: give exactly one of")
 
 
-def test_unknown_preset_and_bad_spec_files(tmp_path):
-    with pytest.raises(SystemExit):
-        campaign("status", "--preset", "nope", "--store", str(tmp_path))
-    with pytest.raises(SystemExit):
-        campaign("status", "--spec", str(tmp_path / "missing.json"),
-                 "--store", str(tmp_path))
+def test_unknown_preset_and_bad_spec_files(tmp_path, usage_error):
+    usage_error(campaign("status", "--preset", "nope",
+                         "--store", str(tmp_path)),
+                "repro campaign status: unknown preset 'nope'")
+    usage_error(campaign("status", "--spec", str(tmp_path / "missing.json"),
+                         "--store", str(tmp_path)),
+                "repro campaign status: ", "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(SystemExit):
-        campaign("status", "--spec", str(bad), "--store", str(tmp_path))
+    usage_error(campaign("status", "--spec", str(bad),
+                         "--store", str(tmp_path)),
+                "repro campaign status: ", "bad.json: malformed JSON")
 
 
-def test_spec_with_a_too_short_run_is_a_usage_error(tmp_path, capsys):
+def test_spec_with_a_too_short_run_is_a_usage_error(tmp_path, usage_error):
     spec = {
         "name": "cli-short",
         "base": {
@@ -133,12 +135,9 @@ def test_spec_with_a_too_short_run_is_a_usage_error(tmp_path, capsys):
     }
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
-    with pytest.raises(SystemExit) as exc:
-        campaign("run", "--spec", str(spec_file),
-                 "--store", str(tmp_path / "store"))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "campaign: invalid spec" in err and "warm-up" in err
+    usage_error(campaign("run", "--spec", str(spec_file),
+                         "--store", str(tmp_path / "store")),
+                "repro campaign run: ", "warm-up")
     assert not (tmp_path / "store" / "cli-short").exists()
 
 

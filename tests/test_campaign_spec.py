@@ -156,6 +156,30 @@ def test_axis_rejects_empty_and_duplicate_values():
         Axis("seed", (1, 2, 1))
 
 
+@pytest.mark.parametrize("data, missing", [
+    ({}, "['name', 'values']"),
+    ({"values": [1]}, "['name']"),
+    ({"name": "seed"}, "['values']"),
+])
+def test_axis_from_dict_names_missing_keys(data, missing):
+    with pytest.raises(ConfigurationError, match="axis: missing key") as err:
+        Axis.from_dict(data)
+    assert missing in str(err.value)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, r"campaign spec: missing key\(s\) \['name'\]"),
+    ({"base": {}, "axes": []}, r"campaign spec: missing key\(s\) \['name'\]"),
+    ([], "campaign spec must be a JSON object, got list"),
+    ({"name": "x", "axes": [{"name": "seed"}]},
+     r"axis: missing key\(s\) \['values'\]"),
+    ({"name": "x", "axes": ["seed"]}, "axis must be a JSON object, got str"),
+])
+def test_campaign_spec_from_dict_names_missing_keys(data, message):
+    with pytest.raises(ConfigurationError, match=message):
+        CampaignSpec.from_dict(data)
+
+
 def test_axis_normalizes_apps_values():
     axis = Axis("apps", (AppSpec.catalog("stickman"),
                          ({"kind": "batch", "name": "bml", "cluster": None},)))

@@ -129,9 +129,9 @@ def test_describe_command(capsys):
     assert "board" in out
 
 
-def test_describe_unknown_platform():
-    with pytest.raises(SystemExit):
-        main(["describe", "--platform", "pixel9"])
+def test_describe_unknown_platform(usage_error):
+    usage_error(main(["describe", "--platform", "pixel9"]),
+                "repro describe: unknown platform 'pixel9'")
 
 
 def test_advise_command(capsys):
@@ -142,14 +142,14 @@ def test_advise_command(capsys):
     assert "verdict" in out
 
 
-def test_advise_unknown_app():
-    with pytest.raises(SystemExit):
-        main(["advise", "--app", "tiktok"])
+def test_advise_unknown_app(usage_error):
+    usage_error(main(["advise", "--app", "tiktok"]),
+                "repro advise: unknown app 'tiktok'")
 
 
 @pytest.mark.parametrize("limit", ["20", "29.9"])
 def test_advise_limit_at_or_below_ambient_is_rejected_before_profiling(
-    limit, monkeypatch, capsys
+    limit, monkeypatch, usage_error
 ):
     # nexus6p's lumped model sees a 29.9 degC effective ambient (board
     # power included): no safe budget exists at or below it.
@@ -159,15 +159,11 @@ def test_advise_limit_at_or_below_ambient_is_rejected_before_profiling(
         raise AssertionError("profiled before rejecting the limit")
 
     monkeypatch.setattr(Simulation, "run", no_profiling)
-    with pytest.raises(SystemExit) as exc:
-        main(["advise", "--app", "hangouts", "--limit", limit])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "at or below" in err and "effective ambient of nexus6p" in err
-    assert "Traceback" not in err
+    usage_error(main(["advise", "--app", "hangouts", "--limit", limit]),
+                "at or below", "effective ambient of nexus6p")
 
 
-def test_advise_maps_a_stability_error_to_exit_2(monkeypatch, capsys):
+def test_advise_maps_a_stability_error_to_exit_2(monkeypatch, usage_error):
     import repro.core.advisor as advisor
     from repro.errors import StabilityError
 
@@ -175,11 +171,9 @@ def test_advise_maps_a_stability_error_to_exit_2(monkeypatch, capsys):
         raise StabilityError("no stable fixed point")
 
     monkeypatch.setattr(advisor, "advise", unstable)
-    with pytest.raises(SystemExit) as exc:
-        main(["advise", "--app", "hangouts", "--limit", "50",
-              "--profile-s", "6"])
-    assert exc.value.code == 2
-    assert "advise: no stable fixed point" in capsys.readouterr().err
+    usage_error(main(["advise", "--app", "hangouts", "--limit", "50",
+                      "--profile-s", "6"]),
+                "repro advise: no stable fixed point")
 
 
 def test_metrics_command(capsys):
@@ -205,9 +199,9 @@ def test_trace_command(capsys):
     assert "sched: spawn" in out
 
 
-def test_metrics_unknown_app():
-    with pytest.raises(SystemExit):
-        main(["metrics", "--app", "tiktok"])
+def test_metrics_unknown_app(usage_error):
+    usage_error(main(["metrics", "--app", "tiktok"]),
+                "repro metrics: unknown app 'tiktok'")
 
 
 def test_table_export_dir(capsys, tmp_path, monkeypatch):
@@ -270,9 +264,9 @@ def test_platforms_describe_json_is_the_def(capsys):
     assert data == get("odroid-xu3").to_dict()
 
 
-def test_platforms_describe_unknown_exits():
-    with pytest.raises(SystemExit):
-        main(["platforms", "describe", "--platform", "palm-pre"])
+def test_platforms_describe_unknown_exits(usage_error):
+    usage_error(main(["platforms", "describe", "--platform", "palm-pre"]),
+                "repro platforms describe: unknown platform 'palm-pre'")
 
 
 def test_platforms_validate_command(capsys):
@@ -281,7 +275,7 @@ def test_platforms_validate_command(capsys):
     assert "5 platform definition(s) valid" in out
 
 
-def test_platforms_validate_file(tmp_path, capsys):
+def test_platforms_validate_file(tmp_path, capsys, usage_error):
     import json
 
     from repro.soc.registry import get
@@ -295,8 +289,8 @@ def test_platforms_validate_file(tmp_path, capsys):
     data = get("pixel-xl").to_dict()
     data["software"]["thermal"]["sensor"] = "bogus"
     bad.write_text(json.dumps(data))
-    with pytest.raises(SystemExit):
-        main(["platforms", "validate", "--file", str(bad)])
+    usage_error(main(["platforms", "validate", "--file", str(bad)]),
+                "repro platforms validate: ", "'bogus'")
 
 
 def test_describe_any_registered_platform(capsys):
@@ -304,9 +298,9 @@ def test_describe_any_registered_platform(capsys):
     assert "skin" in capsys.readouterr().out
 
 
-def test_describe_unknown_platform_exits():
-    with pytest.raises(SystemExit):
-        main(["describe", "--platform", "palm-pre"])
+def test_describe_unknown_platform_exits(usage_error):
+    usage_error(main(["describe", "--platform", "palm-pre"]),
+                "repro describe: unknown platform 'palm-pre'")
 
 
 # -------------------------------------------------- calibration pipeline
@@ -348,32 +342,27 @@ def test_platforms_degrade_round_trip(clean_trace_file, tmp_path, capsys):
     assert len(degraded.series("temp.big")[0]) < len(clean.series("temp.big")[0])
 
 
-def test_platforms_degrade_unusable_inputs_exit_2(tmp_path, capsys, clean_trace_file):
-    from repro.cli import EXIT_TRACE_ERROR
-
+def test_platforms_degrade_unusable_inputs_exit_2(tmp_path, usage_error,
+                                                  clean_trace_file):
     code = main([
         "platforms", "degrade", "--trace", str(tmp_path / "nope.json"),
         "--model", "sysfs",
     ])
-    assert code == EXIT_TRACE_ERROR
-    assert "cannot read trace" in capsys.readouterr().err
+    usage_error(code, "repro platforms degrade: ", "cannot read trace")
 
     code = main([
         "platforms", "degrade", "--trace", str(clean_trace_file),
         "--model", "bogus-model",
     ])
-    assert code == EXIT_TRACE_ERROR
-    assert "neither a built-in" in capsys.readouterr().err
+    usage_error(code, "repro platforms degrade: ", "neither a built-in")
 
 
-def test_platforms_fit_truncated_trace_exits_2(tmp_path, capsys, clean_trace_file):
-    from repro.cli import EXIT_TRACE_ERROR
-
+def test_platforms_fit_truncated_trace_exits_2(tmp_path, usage_error,
+                                               clean_trace_file):
     cut = tmp_path / "cut.json"
     cut.write_text(clean_trace_file.read_text()[:100])
-    assert main(["platforms", "fit", "--trace", str(cut)]) == EXIT_TRACE_ERROR
-    err = capsys.readouterr().err
-    assert "bad trace" in err and "line" in err
+    usage_error(main(["platforms", "fit", "--trace", str(cut)]),
+                "repro platforms fit: ", "malformed trace JSON", "line")
 
 
 def test_platforms_fit_clean_trace_summary(clean_trace_file, capsys):
@@ -382,6 +371,42 @@ def test_platforms_fit_clean_trace_summary(clean_trace_file, capsys):
         "--name", "xu3-cli-refit",
     ]) == 0
     assert "fit report" in capsys.readouterr().out
+
+
+def _fit_register_validate(trace, name, tmp_path, capsys):
+    """``fit --out F --register`` exits 0, then ``validate --file F`` does."""
+    from repro.soc import registry
+
+    fitted = tmp_path / f"{name}.json"
+    try:
+        assert main([
+            "platforms", "fit", "--trace", str(trace), "--name", name,
+            "--out", str(fitted), "--register",
+        ]) == 0
+        assert f"{name}: registered" in capsys.readouterr().out
+    finally:
+        if registry.is_registered(name):
+            registry.unregister(name)
+    assert main(["platforms", "validate", "--file", str(fitted)]) == 0
+    assert f"{name}: OK" in capsys.readouterr().out
+
+
+def test_platforms_fit_registers_and_validates(clean_trace_file, tmp_path,
+                                               capsys):
+    _fit_register_validate(clean_trace_file, "xu3-cli-registered",
+                           tmp_path, capsys)
+
+
+def test_calibration_loop_at_reduced_scale(tmp_path, capsys):
+    """Excite with a short staircase; the trace alone still fits cleanly."""
+    trace = tmp_path / "trace.json"
+    assert main([
+        "platforms", "excite", "--platform", "odroid-xu3",
+        "--dwell-s", "0.5", "--soak-s", "4", "--cooldown-s", "8",
+        "--max-opps", "4", "--out", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    _fit_register_validate(trace, "odroid-xu3-refit", tmp_path, capsys)
 
 
 def test_platforms_fit_missing_channel_exits_3(tmp_path, capsys, clean_trace_file):
@@ -403,10 +428,9 @@ def test_platforms_fit_missing_channel_exits_3(tmp_path, capsys, clean_trace_fil
     assert "fit report" in captured.out
 
 
-def test_platforms_fit_robust_off_raises_trace_exit(tmp_path, capsys, clean_trace_file):
+def test_platforms_fit_robust_off_raises_trace_exit(tmp_path, usage_error,
+                                                    clean_trace_file):
     import json
-
-    from repro.cli import EXIT_TRACE_ERROR
 
     data = json.loads(clean_trace_file.read_text())
     del data["channels"]["volt.gpu"]
@@ -416,8 +440,7 @@ def test_platforms_fit_robust_off_raises_trace_exit(tmp_path, capsys, clean_trac
         "platforms", "fit", "--trace", str(partial),
         "--name", "xu3-partial-strict", "--robust", "off",
     ])
-    assert code == EXIT_TRACE_ERROR
-    assert "fit failed" in capsys.readouterr().err
+    usage_error(code, "repro platforms fit: ", "volt.gpu")
 
 
 # ---------------------------------------------------------------- chaos CLI

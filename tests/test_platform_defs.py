@@ -66,6 +66,27 @@ def test_from_dict_rejects_unknown_fields():
     assert "price_usd" in str(err.value)
 
 
+def test_from_dict_names_missing_fields():
+    with pytest.raises(ConfigurationError) as err:
+        PlatformDef.from_dict({})
+    assert "PlatformDef: missing key(s) " in str(err.value)
+    for name in ("name", "clusters", "gpu", "memory", "thermal", "sensors"):
+        assert repr(name) in str(err.value)
+    data = _phone_data()
+    del data["thermal"]
+    with pytest.raises(ConfigurationError, match=r"missing key\(s\) \['thermal'\]"):
+        PlatformDef.from_dict(data)
+    # Fields with defaults may be left out.
+    data = _phone_data()
+    del data["extras"], data["board_power_w"]
+    assert PlatformDef.from_dict(data).board_power_w == 0.0
+
+
+def test_from_dict_rejects_a_non_object():
+    with pytest.raises(ConfigurationError, match="JSON object, got list"):
+        PlatformDef.from_dict([])
+
+
 def test_bad_platform_names_rejected():
     for name in ("", "Pixel XL", "UPPER", "-leading", "a b"):
         with pytest.raises(ConfigurationError):

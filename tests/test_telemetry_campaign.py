@@ -189,7 +189,7 @@ def test_obs_check_exit_codes(tmp_path, capsys):
     assert out.rstrip().endswith("PASS")
 
 
-def test_obs_check_json_and_missing_campaign(tmp_path, capsys):
+def test_obs_check_json_and_missing_campaign(tmp_path, capsys, usage_error):
     store = str(tmp_path / "store")
     healthy = spec_file(tmp_path, mini_spec("healthy"))
     assert main(["campaign", "run", "--spec", healthy, "--store", store]) == 0
@@ -202,12 +202,12 @@ def test_obs_check_json_and_missing_campaign(tmp_path, capsys):
     assert {r["name"] for r in payload["rules"]} == {
         "excess-bounded", "detects-quickly", "no-crashes", "no-failures",
     }
-    with pytest.raises(SystemExit, match="no aggregate"):
-        main(["obs", "check", "--campaign", "ghost", "--store", store,
-              "--slo", "chaos-hardening"])
-    with pytest.raises(SystemExit, match="slo:"):
-        main(["obs", "check", "--campaign", "healthy", "--store", store,
-              "--slo", "no-such-spec"])
+    usage_error(main(["obs", "check", "--campaign", "ghost", "--store", store,
+                      "--slo", "chaos-hardening"]),
+                "repro obs check: no aggregate for campaign 'ghost'")
+    usage_error(main(["obs", "check", "--campaign", "healthy", "--store", store,
+                      "--slo", "no-such-spec"]),
+                "repro obs check: unknown SLO spec 'no-such-spec'")
 
 
 def test_campaign_run_watch_no_tty(tmp_path, capsys):
