@@ -108,6 +108,14 @@ def _require_keys(data, keys: Sequence[str], what: str) -> None:
         raise ConfigurationError(f"{what}: missing key(s) {missing}")
 
 
+def _as_list(value, what: str) -> tuple:
+    """``value`` as a tuple, when it is a list (or tuple) as the JSON format
+    requires; anything else is a :class:`ConfigurationError` naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _jsonable_axis_value(name: str, value):
     if name == "apps":
         return [spec.to_dict() for spec in value]
@@ -124,6 +132,10 @@ class Axis:
     values: tuple
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigurationError(
+                f"axis 'name' must be a string, got {type(self.name).__name__}"
+            )
         if self.name.startswith(GOVERNOR_PREFIX):
             fld = self.name[len(GOVERNOR_PREFIX):]
             if fld not in _governor_field_names():
@@ -137,7 +149,7 @@ class Axis:
                 f"{SCALAR_AXES + ('apps', FAULTS_AXIS)} and "
                 f"'{GOVERNOR_PREFIX}<field>'"
             )
-        values = tuple(self.values)
+        values = _as_list(self.values, f"axis {self.name!r} 'values'")
         if not values:
             raise ConfigurationError(f"axis {self.name!r} needs at least one value")
         if self.name == "apps":
@@ -163,7 +175,7 @@ class Axis:
     def from_dict(cls, data: Mapping) -> "Axis":
         """Inverse of :meth:`to_dict` (``apps`` dicts become AppSpecs)."""
         _require_keys(data, ("name", "values"), "axis")
-        return cls(name=data["name"], values=tuple(data["values"]))
+        return cls(name=data["name"], values=data["values"])
 
 
 @dataclass(frozen=True)
@@ -184,19 +196,28 @@ class CampaignSpec:
     base: Mapping
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigurationError(
+                f"campaign 'name' must be a string, got {type(self.name).__name__}"
+            )
         if not _CAMPAIGN_NAME_RE.match(self.name):
             raise ConfigurationError(
                 f"campaign name {self.name!r} must match "
                 f"{_CAMPAIGN_NAME_RE.pattern} (it becomes a directory name)"
             )
         axes = tuple(
-            ax if isinstance(ax, Axis) else Axis.from_dict(ax) for ax in self.axes
+            ax if isinstance(ax, Axis) else Axis.from_dict(ax)
+            for ax in _as_list(self.axes, "campaign 'axes'")
         )
         names = [ax.name for ax in axes]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate axis names in {names}")
         object.__setattr__(self, "axes", axes)
 
+        if not isinstance(self.base, Mapping):
+            raise ConfigurationError(
+                f"campaign 'base' must be a JSON object, got {type(self.base).__name__}"
+            )
         base = dict(self.base)
         allowed = set(SCALAR_AXES) | {"apps", "governor", "faults"}
         unknown = set(base) - allowed
@@ -295,7 +316,5 @@ class CampaignSpec:
                 f"unknown campaign field(s) {sorted(unknown)}"
             )
         return cls(
-            name=data["name"],
-            axes=tuple(Axis.from_dict(ax) for ax in data.get("axes", ())),
-            base=dict(data.get("base", {})),
+            name=data["name"], axes=data.get("axes", ()), base=data.get("base", {})
         )

@@ -185,14 +185,24 @@ class ResultStore:
 
     def load_aggregate(self, name: str) -> dict | None:
         """A previously written fleet aggregate (None if never run)."""
-        path = self.aggregate_path(name)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
+        return _load_store_json(self.aggregate_path(name))
 
     def load_campaign_manifest(self, name: str) -> dict | None:
         """A previously written campaign manifest (None if never run)."""
-        path = self.manifest_path(name)
-        if not path.exists():
-            return None
+        return _load_store_json(self.manifest_path(name))
+
+
+def _load_store_json(path: pathlib.Path) -> dict | None:
+    """A JSON file the store wrote (None if absent).
+
+    A file cut short (a killed writer, a full disk) is a
+    :class:`ConfigurationError` naming it, not a decoder traceback.
+    """
+    if not path.exists():
+        return None
+    try:
         return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{path}: malformed JSON in the result store: {exc}"
+        ) from None

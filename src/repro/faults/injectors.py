@@ -29,6 +29,8 @@ summary records zero injections for it.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import FaultInjectionError, SysfsError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.sensors import DroppingSensor, SpikySensor, StuckSensor
@@ -226,6 +228,10 @@ class FaultController:
 
     def __init__(self, plan: FaultPlan, sim, governor=None) -> None:
         self.plan = plan
+        # The controller runs as one of the simulation's kernel daemons, so
+        # it (and its injectors) hold the simulation weakly: no reference
+        # cycle keeps a finished run alive until the cycle collector runs.
+        sim = weakref.proxy(sim)
         self._sim = sim
         self._governor = governor
         self._injectors = [

@@ -136,14 +136,13 @@ class InteractiveGovernor(FreqGovernor):
 
     def update(self, policy: DvfsPolicy, now_s: float) -> None:
         util = policy.take_utilization()
-        demand_hz = policy.cur_freq_hz * util / self.target_load
-        if policy.boosted(now_s):
+        cur_hz = policy.cur_freq_hz
+        demand_hz = cur_hz * util / self.target_load
+        if policy.boosted(now_s) or util >= self.go_hispeed_load:
             demand_hz = max(demand_hz, self._hispeed(policy))
-        elif util >= self.go_hispeed_load:
-            demand_hz = max(demand_hz, self._hispeed(policy))
-        if demand_hz < policy.cur_freq_hz:
-            dwell = now_s - policy.last_raise_s
-            if policy.last_raise_s >= 0.0 and dwell < self.min_sample_time_s:
+        if demand_hz < cur_hz:
+            last_raise_s = policy.last_raise_s
+            if last_raise_s >= 0.0 and now_s - last_raise_s < self.min_sample_time_s:
                 return
         policy.set_target(demand_hz, now_s)
 

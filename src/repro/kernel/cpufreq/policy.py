@@ -29,6 +29,8 @@ class DvfsPolicy:
         self._thermal_max_hz = opps.max_freq_hz
         start = opps.max_freq_hz if initial_freq_hz is None else initial_freq_hz
         self._cur_freq_hz = opps.floor(opps.clamp(start)).freq_hz
+        # The residency key of the current frequency, kept in step with it.
+        self._cur_khz = hz_to_khz(self._cur_freq_hz)
         self._time_in_state: dict[int, float] = {
             khz: 0.0 for khz in opps.frequencies_khz()
         }
@@ -98,6 +100,7 @@ class DvfsPolicy:
             key = (hz_to_khz(self._cur_freq_hz), hz_to_khz(target_hz))
             self._transitions[key] = self._transitions.get(key, 0) + 1
         self._cur_freq_hz = target_hz
+        self._cur_khz = hz_to_khz(target_hz)
 
     def set_target(self, freq_hz: float, now_s: float | None = None) -> float:
         """Request a frequency; it is clamped to limits and snapped to an OPP.
@@ -106,11 +109,12 @@ class DvfsPolicy:
         when the frequency was last raised (used by interactive-style
         hysteresis).
         """
-        clamped = min(max(freq_hz, self._user_min_hz), self.effective_max_hz)
+        effective_max_hz = min(self._user_max_hz, self._thermal_max_hz)
+        clamped = min(max(freq_hz, self._user_min_hz), effective_max_hz)
         # Snap up so a demand between OPPs is satisfied, then re-clamp.
         target = self.opps.ceil(clamped).freq_hz
-        if target > self.effective_max_hz:
-            target = self.opps.floor(self.effective_max_hz).freq_hz
+        if target > effective_max_hz:
+            target = self.opps.floor(effective_max_hz).freq_hz
         if now_s is not None and target > self._cur_freq_hz:
             self._last_raise_s = now_s
         self._commit(target)
@@ -132,7 +136,7 @@ class DvfsPolicy:
         core); ``mean_util`` is the whole-domain average used for power
         estimation (defaults to ``busy_fraction`` for single-unit domains).
         """
-        khz = hz_to_khz(self._cur_freq_hz)
+        khz = self._cur_khz
         self._time_in_state[khz] = self._time_in_state.get(khz, 0.0) + dt_s
         self._busy_integral_s += busy_fraction * dt_s
         self._elapsed_s += dt_s

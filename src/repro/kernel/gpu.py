@@ -99,8 +99,9 @@ class GpuDevice:
         remaining = capacity
         completed: list[Hashable] = []
         owner_cycles: dict[str, float] = {}
+        queues = self._queues
         if self.scheduling == "fifo":
-            for owner in list(self._queues):
+            for owner in list(queues):
                 remaining -= self._drain_owner(
                     owner, remaining, completed, owner_cycles
                 )
@@ -110,7 +111,10 @@ class GpuDevice:
             # Fair: repeatedly split the remaining capacity equally among
             # owners that still have work (light owners return their slack).
             while remaining > 1e-9:
-                pending = [o for o, q in self._queues.items() if q]
+                pending = []
+                for owner, queue in queues.items():
+                    if queue:
+                        pending.append(owner)
                 if not pending:
                     break
                 share = remaining / len(pending)
@@ -123,11 +127,8 @@ class GpuDevice:
                     break
                 remaining -= used_this_round
         # Drop exhausted owner queues so FIFO order follows activity.
-        for owner in [o for o, q in self._queues.items() if not q]:
-            del self._queues[owner]
+        if not all(queues.values()):
+            for owner in [o for o, q in queues.items() if not q]:
+                del queues[owner]
         busy = 0.0 if capacity <= 0.0 else (capacity - remaining) / capacity
-        return GpuTickResult(
-            busy_fraction=min(busy, 1.0),
-            completed_tags=completed,
-            owner_cycles=owner_cycles,
-        )
+        return GpuTickResult(min(busy, 1.0), completed, owner_cycles)

@@ -15,8 +15,10 @@ powers back into the INA231-style sensors that userspace reads.
 
 from __future__ import annotations
 
-import time
+import functools
+import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -42,6 +44,9 @@ from repro.thermal.model import ThermalModel
 from repro.thermal.sensors import TemperatureSensor
 
 GPU_DOMAIN = "gpu"
+
+#: Attributes of a ``governor.update`` span, in the order they are set.
+_GOVERNOR_SPAN_KEYS = ("domain", "freq_before_hz", "freq_after_hz")
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,60 @@ class KernelTickResult:
     gpu: GpuTickResult
     freqs_hz: dict[str, float]
     completed_cpu_tags: list[Hashable]
+
+
+class LoadScaledActor(PowerActor):
+    """IPA actor with *load-scaled* power tables, as in the kernel.
+
+    Both the requested power and the budget-to-frequency conversion use
+    the power the domain would draw at its current load, not the
+    all-cores-busy worst case — otherwise IPA over-throttles lightly
+    loaded clusters.  Power at an OPP is the worst case at the domain's
+    temperature times ``max(mean utilisation, 0.1)``.
+
+    Temperature and load are fixed within one zone poll, so
+    :meth:`power_table_w` takes the worst-case table from the power model
+    in one call (one leakage factor for every OPP) and scales it; each
+    entry equals ``max_power_w`` at that OPP bit for bit.
+    """
+
+    def __init__(
+        self,
+        device: DvfsCoolingDevice,
+        policy: DvfsPolicy,
+        worst_w: Callable[[float, float], float],
+        worst_table_w: Callable[[float], list[float]],
+        temp_k: Callable[[], float],
+    ) -> None:
+        # The estimators are methods, not stored callables: a bound method
+        # kept on its own instance would be a reference cycle.
+        self.device = device
+        self.weight = 1.0
+        self._policy = policy
+        self._worst_w = worst_w
+        self._worst_table_w = worst_table_w
+        self._temp_k = temp_k
+
+    def _load(self) -> float:
+        return max(self._policy.last_mean_util, 0.1)
+
+    def max_power_w(self, freq_hz: float) -> float:
+        load = self._load()
+        return load * self._worst_w(freq_hz, self._temp_k())
+
+    def requested_power_w(self) -> float:
+        # A fully loaded domain asks for the power of its fastest OPP,
+        # not of the capped one it is stuck at — otherwise a throttled
+        # actor's request (and hence its grant) spirals to zero.
+        policy = self._policy
+        freq = policy.cur_freq_hz
+        if policy.last_util >= 0.95:
+            freq = policy.opps.max_freq_hz
+        return self.max_power_w(freq)
+
+    def power_table_w(self) -> list[float]:
+        load = self._load()
+        return [load * w for w in self._worst_table_w(self._temp_k())]
 
 
 class UserspaceApi:
@@ -245,11 +304,24 @@ class Kernel:
         self._idle_scales: dict[str, float] = {
             name: 1.0 for name in self.idle_governors
         }
+        # Per-tick accounting targets, resolved once.
+        self._cluster_slots = tuple(
+            (c.name, c.n_cores, self.policies[c.name], self.idle_governors[c.name])
+            for c in platform.clusters
+        )
+        self._gpu_policy = self.policies[GPU_DOMAIN]
+        self._gpu_idle_governor = self.idle_governors[GPU_DOMAIN]
 
         # --- hotplug ------------------------------------------------------
         self._cluster_online: dict[str, bool] = {
             c.name: True for c in platform.clusters
         }
+        #: Live read-only views of the idle scales (clusters and the GPU)
+        #: and the cluster power states, for readers that run every tick.
+        self.idle_scales: Mapping[str, float] = MappingProxyType(self._idle_scales)
+        self.clusters_online: Mapping[str, bool] = MappingProxyType(
+            self._cluster_online
+        )
         self._cooling_states: dict[str, int] = {}
         self._throttle_since_s: dict[str, float] = {}
         self._daemons: list[tuple[str, PeriodicTimer, Callable[[float], None]]] = []
@@ -260,7 +332,9 @@ class Kernel:
 
         from repro.kernel.wiring import build_fs  # deferred: avoids import cycle
 
-        self.fs = build_fs(self)
+        # The tree's getters reach back into the kernel; through a weak
+        # proxy they do not form a reference cycle with it.
+        self.fs = build_fs(weakref.proxy(self))
 
     def _register_metrics(self) -> None:
         """Create every kernel metric family up front.
@@ -340,51 +414,41 @@ class Kernel:
         )
         for zone in self.zones.values():
             zone.attach_observability(m, self.spans)
+        # What one tick touches per timer, resolved once.
+        self._governor_slots = tuple(
+            (
+                domain, timer, self.policies[domain], self._m_gov_updates[domain],
+                self._m_gov_latency[domain], self._m_gov_freq_changes[domain],
+            )
+            for domain, timer in self._governor_timers.items()
+        )
+        self._zone_slots = tuple(
+            (name, timer, self.zones[name]) for name, timer in self._zone_timers.items()
+        )
 
     # ------------------------------------------------------------ assembly
 
-    def _component_temp_k(self, domain: str) -> float:
-        """True temperature of the thermal node backing a DVFS domain."""
+    def _make_actor(self, domain: str, device: DvfsCoolingDevice) -> PowerActor:
+        """IPA actor of one DVFS domain, at the true temperature of the
+        thermal node behind it."""
+        model = self.power_model
         if domain == GPU_DOMAIN:
             node = self.platform.gpu.thermal_node
+            worst_w = model.max_gpu_power_w
+            worst_table_w = model.max_gpu_power_table_w
         else:
             node = self.platform.cluster(domain).thermal_node
-        return self._thermal_model.temperature_k(node)
-
-    def _make_actor(self, domain: str, device: DvfsCoolingDevice) -> PowerActor:
-        """IPA actor with *load-scaled* power tables, as in the kernel.
-
-        Both the requested power and the budget-to-frequency conversion use
-        the power the domain would draw at its current load, not the
-        all-cores-busy worst case — otherwise IPA over-throttles lightly
-        loaded clusters.
-        """
-        policy = self.policies[domain]
-
-        if domain == GPU_DOMAIN:
-            def power_at(freq_hz: float, _d=domain) -> float:
-                load = max(policy.last_mean_util, 0.1)
-                return load * self.power_model.max_gpu_power_w(
-                    freq_hz, self._component_temp_k(_d)
-                )
-        else:
-            def power_at(freq_hz: float, _d=domain) -> float:
-                load = max(policy.last_mean_util, 0.1)
-                return load * self.power_model.max_cluster_power_w(
-                    _d, freq_hz, self._component_temp_k(_d)
-                )
-
-        def requested() -> float:
-            # A fully loaded domain asks for the power of its fastest OPP,
-            # not of the capped one it is stuck at — otherwise a throttled
-            # actor's request (and hence its grant) spirals to zero.
-            freq = policy.cur_freq_hz
-            if policy.last_util >= 0.95:
-                freq = policy.opps.max_freq_hz
-            return power_at(freq)
-
-        return PowerActor(
-            device=device, max_power_w=power_at, requested_power_w=requested
+            worst_w = functools.partial(model.max_cluster_power_w, domain)
+            worst_table_w = functools.partial(model.max_cluster_power_table_w, domain)
+        return LoadScaledActor(
+            device,
+            self.policies[domain],
+            worst_w,
+            worst_table_w,
+            functools.partial(
+                self._thermal_model.temperature_at,
+                self._thermal_model.node_index(node),
+            ),
         )
 
     def _build_thermal(self) -> None:
@@ -488,8 +552,12 @@ class Kernel:
         )
 
     def userspace_api(self) -> UserspaceApi:
-        """The interface handed to userspace daemons."""
-        return UserspaceApi(self)
+        """The interface handed to userspace daemons.
+
+        It reaches the kernel through a weak proxy: a daemon the kernel
+        runs, and so keeps alive, must not keep the kernel alive in turn.
+        """
+        return UserspaceApi(weakref.proxy(self))
 
     # ------------------------------------------------------------- hotplug
 
@@ -540,16 +608,15 @@ class Kernel:
                 f"hotplug targets unknown cluster {cfg.cluster!r}"
             )
         sensor = self.sensors[cfg.sensor]
+        online = self._cluster_online
+        kernel = weakref.proxy(self)  # the daemon must not keep its kernel alive
 
         def poll(now_s: float) -> None:
             temp_c = sensor.read_c()
-            if self._cluster_online[cfg.cluster] and temp_c > cfg.trip_c:
-                self.set_cluster_online(cfg.cluster, False)
-            elif (
-                not self._cluster_online[cfg.cluster]
-                and temp_c < cfg.trip_c - cfg.hyst_c
-            ):
-                self.set_cluster_online(cfg.cluster, True)
+            if online[cfg.cluster] and temp_c > cfg.trip_c:
+                kernel.set_cluster_online(cfg.cluster, False)
+            elif not online[cfg.cluster] and temp_c < cfg.trip_c - cfg.hyst_c:
+                kernel.set_cluster_online(cfg.cluster, True)
 
         self.register_daemon("thermal-hotplug", cfg.polling_s, poll)
 
@@ -584,89 +651,85 @@ class Kernel:
 
     def tick(self, now_s: float, dt_s: float) -> KernelTickResult:
         """Advance the OS by one simulation step."""
-        for domain, timer in self._governor_timers.items():
-            if timer.poll():
-                policy = self.policies[domain]
+        # Every kernel timer runs on the kernel's clock; one that is not due
+        # yet would return False from poll(), so the call is skipped.
+        due_s = self._clock.now + 1e-12
+        spans = self.spans
+        wall_time = spans.wall_time
+        for domain, timer, policy, updates, latency, changes in self._governor_slots:
+            if timer.next_deadline <= due_s and timer.poll():
                 before_hz = policy.cur_freq_hz
-                with self.spans.span("governor.update", domain=domain) as span:
-                    t0 = time.perf_counter()
-                    self.governors[domain].update(policy, now_s)
-                    elapsed_s = time.perf_counter() - t0
-                    span.set(
-                        freq_before_hz=before_hz, freq_after_hz=policy.cur_freq_hz
-                    )
-                self._m_gov_updates[domain].inc()
-                self._m_gov_latency[domain].observe(elapsed_s)
+                t0 = wall_time()
+                self.governors[domain].update(policy, now_s)
+                t1 = wall_time()
+                after_hz = policy.cur_freq_hz
+                spans.record(
+                    "governor.update", t0, t1, _GOVERNOR_SPAN_KEYS,
+                    (domain, before_hz, after_hz),
+                )
+                updates.inc()
+                latency.observe(t1 - t0)
                 # Snapshot identity check: either the governor changed the
                 # frequency or it did not; no arithmetic dust can creep in.
-                if policy.cur_freq_hz != before_hz:  # repro-lint: disable=R401
-                    self._m_gov_freq_changes[domain].inc()
-        for name, timer in self._zone_timers.items():
-            if timer.poll():
-                if self.zones[name].governor is not None:
-                    with self.spans.span("thermal.zone_poll", zone=name):
-                        self.zones[name].poll(now_s)
+                if after_hz != before_hz:  # repro-lint: disable=R401
+                    changes.inc()
+        for name, timer, zone in self._zone_slots:
+            if timer.next_deadline <= due_s and timer.poll():
+                if zone.governor is not None:
+                    with spans.span("thermal.zone_poll", zone=name):
+                        zone.poll(now_s)
                 else:
-                    self.zones[name].poll(now_s)
+                    zone.poll(now_s)
         for _, timer, fn in self._daemons:
-            if timer.poll():
+            if timer.next_deadline <= due_s and timer.poll():
                 fn(now_s)
+        states = self._cooling_states
         for device in self.cooling_devices:
-            last = self._cooling_states.get(device.name)
             cur = device.cur_state
-            if last is not None and cur != last:
-                self.tracer.emit(
-                    now_s, "thermal", "cooling_state",
-                    f"{device.name} {last} -> {cur}",
-                )
-                self._m_cooling_changes[device.name].inc()
-                self.spans.instant(
-                    "thermal.cooling_state",
-                    device=device.name,
-                    from_state=last,
-                    to_state=cur,
-                )
-                if last == 0 and cur > 0:
-                    self._throttle_since_s[device.name] = now_s
-                elif cur == 0:
-                    start = self._throttle_since_s.pop(device.name, None)
-                    if start is not None:
-                        self._m_throttle_duration[device.name].observe(
-                            now_s - start
-                        )
-            self._cooling_states[device.name] = cur
+            last = states.get(device.name)
+            if cur != last:
+                if last is not None:
+                    self._cooling_state_changed(device.name, last, cur, now_s)
+                states[device.name] = cur
 
         freqs = self.current_freqs_hz()
-        cluster_freqs = {
-            c.name: freqs[c.name] if self._cluster_online[c.name] else 0.0
-            for c in self.platform.clusters
+        online = self._cluster_online
+        # The scheduler reads only its clusters' entries of the dict.
+        cluster_freqs = freqs if all(online.values()) else {
+            name: freqs[name] if up else 0.0 for name, up in online.items()
         }
         sched = self.scheduler.run_tick(cluster_freqs, dt_s)
         gpu = self.gpu.run_tick(freqs[GPU_DOMAIN], dt_s)
 
-        for cluster in self.platform.clusters:
-            usage = sched.usage[cluster.name]
+        usage = sched.usage
+        idle_scales = self._idle_scales
+        for name, n_cores, policy, idle_governor in self._cluster_slots:
+            cluster_usage = usage[name]
+            busy_cores = cluster_usage.busy_cores
             # Per-CPU governors react to the busiest core; power estimation
             # needs the whole-cluster mean.
-            self.policies[cluster.name].account(
-                dt_s,
-                usage.max_core_load,
-                mean_util=usage.busy_cores / cluster.n_cores,
-            )
-            self._idle_scales[cluster.name] = self.idle_governors[
-                cluster.name
-            ].update(usage.busy_cores, cluster.n_cores, dt_s)
-        self._idle_scales[GPU_DOMAIN] = self.idle_governors[GPU_DOMAIN].update(
-            gpu.busy_fraction, 1, dt_s
-        )
-        self.policies[GPU_DOMAIN].account(dt_s, gpu.busy_fraction)
+            policy.account(dt_s, cluster_usage.max_core_load, busy_cores / n_cores)
+            idle_scales[name] = idle_governor.update(busy_cores, n_cores, dt_s)
+        busy_fraction = gpu.busy_fraction
+        idle_scales[GPU_DOMAIN] = self._gpu_idle_governor.update(busy_fraction, 1, dt_s)
+        self._gpu_policy.account(dt_s, busy_fraction)
 
-        return KernelTickResult(
-            usage=sched.usage,
-            gpu=gpu,
-            freqs_hz=freqs,
-            completed_cpu_tags=sched.completed_tags,
+        return KernelTickResult(usage, gpu, freqs, sched.completed_tags)
+
+    def _cooling_state_changed(
+        self, device: str, last: int, cur: int, now_s: float
+    ) -> None:
+        self.tracer.emit(now_s, "thermal", "cooling_state", f"{device} {last} -> {cur}")
+        self._m_cooling_changes[device].inc()
+        self.spans.instant(
+            "thermal.cooling_state", device=device, from_state=last, to_state=cur,
         )
+        if last == 0 and cur > 0:
+            self._throttle_since_s[device] = now_s
+        elif cur == 0:
+            start = self._throttle_since_s.pop(device, None)
+            if start is not None:
+                self._m_throttle_duration[device].observe(now_s - start)
 
     def update_power_readings(
         self, rail_powers_w: Mapping[str, float], dt_s: float

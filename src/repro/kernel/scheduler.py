@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from repro.errors import SchedulingError
-from repro.kernel.task import Task, TaskState
+from repro.kernel.task import Task, TaskState, nice_to_weight  # noqa: F401 (re-export)
 from repro.soc.components import ClusterSpec
 
 
@@ -44,11 +44,6 @@ class TickResult:
     completed_tags: list[Hashable]
 
 
-def nice_to_weight(nice: int) -> float:
-    """CFS-style priority weight: ~1.25x per nice level below zero."""
-    return 1.25 ** (-nice)
-
-
 def _weighted_water_fill(
     capacity: float, ceilings: list[float], weights: list[float]
 ) -> list[float]:
@@ -58,14 +53,24 @@ def _weighted_water_fill(
     in proportion to the active consumers' weights; consumers whose share
     exceeds their ceiling are granted the ceiling and retired, and the slack
     is redistributed.  Returns allocations in input order.
+
+    A single active consumer takes the first round's arithmetic directly:
+    its share ``capacity * w / w`` is computed exactly as the loop would,
+    so the result is the same float either way.
     """
     n = len(ceilings)
     if len(weights) != n:
         raise SchedulingError("weights and ceilings must have equal length")
     allocation = [0.0] * n
-    if n == 0 or capacity <= 0.0:
+    if capacity <= 1e-12:
         return allocation
     active = [i for i in range(n) if ceilings[i] > 0.0]
+    if len(active) == 1:
+        i = active[0]
+        share = capacity * weights[i] / weights[i]
+        ceiling = ceilings[i]
+        allocation[i] = ceiling if share >= ceiling - 1e-12 else share
+        return allocation
     remaining = capacity
     while active and remaining > 1e-12:
         total_weight = sum(weights[i] for i in active)
@@ -155,6 +160,13 @@ class Scheduler:
         """Run one scheduling tick at the given per-cluster frequencies."""
         if dt_s <= 0.0:
             raise SchedulingError(f"tick length must be positive, got {dt_s}")
+        # One pass groups the runnable tasks by cluster, in pid order.
+        runnable: dict[str, list[Task]] = {cname: [] for cname in self._clusters}
+        for task in self._tasks.values():
+            if task.runnable:
+                group = runnable.get(task.cluster)
+                if group is not None:
+                    group.append(task)
         usage: dict[str, ClusterUsage] = {}
         completed: list[Hashable] = []
         for cname, spec in self._clusters.items():
@@ -162,33 +174,37 @@ class Scheduler:
             if freq is None:
                 raise SchedulingError(f"no frequency supplied for cluster {cname!r}")
             capacity = spec.capacity_cycles(freq, dt_s)
-            per_core = capacity / spec.n_cores
-            runnable = [
-                t for t in self._tasks.values() if t.runnable and t.cluster == cname
-            ]
-            ceilings = [t.demand_cycles(per_core) for t in runnable]
-            weights = [nice_to_weight(t.nice) for t in runnable]
+            tasks = runnable[cname]
+            if not tasks:
+                # Nothing ran: every derived quantity is exactly zero.
+                usage[cname] = ClusterUsage(capacity, 0.0, 0.0, {}, 0.0)
+                continue
+            n_cores = spec.n_cores
+            per_core = capacity / n_cores
+            ceilings = []
+            weights = []
+            for task in tasks:
+                ceilings.append(task.demand_cycles(per_core))
+                weights.append(task.weight)
             grants = _weighted_water_fill(capacity, ceilings, weights)
+            ipc = spec.ipc
             used = 0.0
             per_task: dict[int, float] = {}
             max_core_load = 0.0
-            for task, grant in zip(runnable, grants):
+            for task, grant in zip(tasks, grants):
                 if grant <= 0.0:
                     continue
-                completed.extend(task.consume(grant, dt_s, freq, spec.ipc))
+                completed.extend(task.consume(grant, dt_s, freq, ipc))
                 per_task[task.pid] = grant
                 used += grant
                 # Load of this task's busiest core, assuming its threads
                 # spread evenly (what per-CPU governors like interactive see).
-                threads = min(task.n_threads, spec.n_cores)
+                threads = min(task.n_threads, n_cores)
                 max_core_load = max(max_core_load, grant / (per_core * threads))
-            busy_cores = used / (spec.ipc * freq * dt_s) if freq > 0 else 0.0
-            cluster_load = busy_cores / spec.n_cores
+            busy_cores = used / (ipc * freq * dt_s) if freq > 0 else 0.0
+            cluster_load = busy_cores / n_cores
             usage[cname] = ClusterUsage(
-                capacity_cycles=capacity,
-                used_cycles=used,
-                busy_cores=busy_cores,
-                per_task_cycles=per_task,
-                max_core_load=min(max(max_core_load, cluster_load), 1.0),
+                capacity, used, busy_cores, per_task,
+                min(max(max_core_load, cluster_load), 1.0),
             )
-        return TickResult(usage=usage, completed_tags=completed)
+        return TickResult(usage, completed)

@@ -29,6 +29,11 @@ class TaskState(Enum):
     EXITED = "exited"
 
 
+#: Enum member lookups cost a descriptor call; ``runnable`` and
+#: ``add_work`` run every tick.
+_EXITED = TaskState.EXITED
+
+
 @dataclass
 class WorkItem:
     """A chunk of CPU work tagged so its completion can be observed."""
@@ -37,8 +42,17 @@ class WorkItem:
     tag: Hashable
 
 
+def nice_to_weight(nice: int) -> float:
+    """CFS-style priority weight: ~1.25x per nice level below zero."""
+    return 1.25 ** (-nice)
+
+
 class Task:
-    """One schedulable process/thread group."""
+    """One schedulable process/thread group.
+
+    ``nice`` is fixed at creation, so the scheduling ``weight`` derived
+    from it is computed once here rather than on every tick.
+    """
 
     _pid_counter = itertools.count(1000)
 
@@ -57,7 +71,8 @@ class Task:
         self.cluster = cluster
         self.n_threads = n_threads
         self.unbounded = unbounded
-        self.nice = nice
+        self._nice = nice
+        self.weight = nice_to_weight(nice)
         self.state = TaskState.RUNNABLE
         # CPU bandwidth quota in (0, 1]: fraction of this task's thread
         # capacity it may use per tick (cgroup cpu.max analogue).  The
@@ -70,11 +85,16 @@ class Task:
         self.cycles_by_cluster: dict[str, float] = {}
         self.migrations = 0
 
+    @property
+    def nice(self) -> int:
+        """Priority level the task was created with."""
+        return self._nice
+
     # ------------------------------------------------------------------ work
 
     def add_work(self, cycles: float, tag: Hashable = None) -> None:
         """Enqueue ``cycles`` of CPU work; completion is reported via ``tag``."""
-        if self.state is TaskState.EXITED:
+        if self.state is _EXITED:
             raise SchedulingError(f"task {self.name!r} has exited")
         if cycles <= 0.0:
             raise SchedulingError(f"task {self.name!r}: work must be positive")
@@ -89,7 +109,7 @@ class Task:
     @property
     def runnable(self) -> bool:
         """Whether the scheduler should consider this task."""
-        if self.state is TaskState.EXITED:
+        if self.state is _EXITED:
             return False
         return self.unbounded or bool(self._queue)
 

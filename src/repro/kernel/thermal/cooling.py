@@ -7,6 +7,8 @@ of one DVFS policy, exactly like the kernel's ``cpufreq_cooling`` /
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import ConfigurationError
 from repro.kernel.cpufreq.policy import DvfsPolicy
 
@@ -82,16 +84,17 @@ class DvfsCoolingDevice(CoolingDevice):
         capped = self._policy.opps.floor(max(freq_hz, freqs[0])).freq_hz
         return len(freqs) - 1 - self._policy.opps.index_of(capped)
 
-    def state_for_power(self, budget_w: float, power_of_freq) -> int:
+    def state_for_power(self, budget_w: float, powers_w: Sequence[float]) -> int:
         """State capping at the fastest OPP whose power fits ``budget_w``.
 
-        ``power_of_freq`` maps a frequency in Hz to worst-case watts; it must
-        be non-decreasing in frequency (guaranteed by OPP monotonicity).
+        ``powers_w`` holds the power at every OPP, ascending (an IPA power
+        table); it must be non-decreasing in frequency (guaranteed by OPP
+        monotonicity).
         """
         freqs = self._policy.opps.frequencies_hz()
         chosen = freqs[0]
-        for f in freqs:
-            if power_of_freq(f) <= budget_w:
+        for f, power_w in zip(freqs, powers_w):
+            if power_w <= budget_w:
                 chosen = f
             else:
                 break

@@ -30,6 +30,14 @@ class PowerActor:
     requested_power_w: Callable[[], float]
     weight: float = 1.0
 
+    def power_table_w(self) -> list[float]:
+        """Power at every OPP of the device, ascending, for this poll.
+
+        Entry ``i`` is ``max_power_w`` at OPP ``i``; an actor that can build
+        the whole table more cheaply overrides this with the same values.
+        """
+        return [self.max_power_w(f) for f in self.device.policy.opps.frequencies_hz()]
+
 
 class PowerAllocatorGovernor(ThermalGovernor):
     """PID power budgeting with proportional division among actors."""
@@ -90,17 +98,20 @@ class PowerAllocatorGovernor(ThermalGovernor):
         )
         return max(budget, 0.0)
 
-    def _allocate(self, budget_w: float) -> list[float]:
+    def power_tables(self) -> list[list[float]]:
+        """Every actor's power table for this poll (see
+        :meth:`PowerActor.power_table_w`)."""
+        return [actor.power_table_w() for actor in self.actors]
+
+    def _allocate(self, budget_w: float, tables: list[list[float]]) -> list[float]:
         """Divide the budget proportionally to requests, with one
-        redistribution pass for actors whose grant exceeds their ceiling."""
+        redistribution pass for actors whose grant exceeds their ceiling:
+        the power at their fastest OPP, the last entry of their table."""
         requests = [
             max(actor.requested_power_w(), 1e-6) * actor.weight
             for actor in self.actors
         ]
-        ceilings = [
-            actor.max_power_w(actor.device.policy.opps.max_freq_hz)
-            for actor in self.actors
-        ]
+        ceilings = [table[-1] for table in tables]
         total_req = sum(requests)
         grants = [budget_w * r / total_req for r in requests]
         surplus = 0.0
@@ -129,7 +140,7 @@ class PowerAllocatorGovernor(ThermalGovernor):
                 actor.device.set_state(0)
             return
         budget = self._budget_w(temp_c, now_s)
-        grants = self._allocate(budget)
-        for actor, grant in zip(self.actors, grants):
-            state = actor.device.state_for_power(grant, actor.max_power_w)
-            actor.device.set_state(state)
+        tables = self.power_tables()
+        grants = self._allocate(budget, tables)
+        for actor, grant, table in zip(self.actors, grants, tables):
+            actor.device.set_state(actor.device.state_for_power(grant, table))

@@ -41,9 +41,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
     STEP_PHASES,
-    NullProfiler,
     PhaseStat,
     ProfileReport,
     StepProfiler,
@@ -54,13 +52,11 @@ __all__ = [
     "DURATION_BUCKETS_S",
     "FRAME_TIME_BUCKETS_S",
     "LATENCY_BUCKETS_S",
-    "NULL_PROFILER",
     "STEP_PHASES",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullProfiler",
     "PhaseStat",
     "ProfileReport",
     "SNAPSHOT_SCHEMA",

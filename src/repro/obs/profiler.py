@@ -8,10 +8,11 @@
 any optimisation of the hot loop must be benchmarked against.
 
 The engine enters each phase once per step, in that order, and never nests
-one inside another (``thermal`` runs between ``power_assemble`` and
-``power_model``, bracketed by neither).  A phase entered more than once
+one inside another: a :class:`StepLaps` reads the clock once at every phase
+boundary, so the phases tile the step.  A phase entered more than once
 simply accumulates.  The profiler is deliberately dependency-free and
-cheap: two ``perf_counter`` calls per phase entry.
+cheap: one ``perf_counter`` call per phase, and none at all when profiling
+is off (the engine then holds no lap timer).
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ class _PhaseAccumulator:
     """Reusable context manager accumulating one phase's wall-clock.
 
     One accumulator exists per phase name; re-entering it re-arms the start
-    stamp.  Zero allocation on the hot path — the engine brackets every
-    phase of every tick with one of these.
+    stamp.  The engine's :class:`StepLaps` adds to the same totals.
     """
 
     __slots__ = ("name", "total_s", "calls", "_t0")
@@ -79,6 +79,50 @@ class _StepAccumulator:
         self.count += 1
 
 
+class StepLaps:
+    """Times every phase of a step from one clock read per phase boundary.
+
+    :meth:`start` opens a step; each :meth:`lap` closes the current phase
+    and opens the next, in the order given at construction; :meth:`finish`
+    closes the last phase and the step with the same clock read.  The
+    phases tile the step, so no glue between them goes unattributed, and a
+    step costs one ``perf_counter`` per phase.  Feeds the accumulators of
+    :meth:`StepProfiler.phase` and :meth:`StepProfiler.step`.
+    """
+
+    __slots__ = ("_step", "_phases", "_i", "_t0", "_last")
+
+    def __init__(
+        self, step: "_StepAccumulator", phases: tuple["_PhaseAccumulator", ...]
+    ) -> None:
+        self._step = step
+        self._phases = phases
+        self._i = 0
+        self._t0 = 0.0
+        self._last = 0.0
+
+    def start(self) -> None:
+        """Open a step and its first phase."""
+        self._i = 0
+        self._t0 = self._last = time.perf_counter()
+
+    def lap(self) -> float:
+        """Close the current phase and open the next; returns the clock read."""
+        now = time.perf_counter()
+        acc = self._phases[self._i]
+        acc.total_s += now - self._last
+        acc.calls += 1
+        self._i += 1
+        self._last = now
+        return now
+
+    def finish(self) -> None:
+        """Close the last phase and the step."""
+        now = self.lap()
+        self._step.total_s += now - self._t0
+        self._step.count += 1
+
+
 class StepProfiler:
     """Accumulates wall-clock time per step phase."""
 
@@ -106,6 +150,10 @@ class StepProfiler:
         if acc is None:
             acc = self._phases[name] = _PhaseAccumulator(name)
         return acc
+
+    def laps(self, names: tuple[str, ...]) -> StepLaps:
+        """Lap timer over the phases ``names``, entered in that order."""
+        return StepLaps(self._step, tuple(self.phase(name) for name in names))
 
     def reset(self) -> None:
         """Zero all accumulators in place (cached handles stay valid)."""
@@ -138,30 +186,6 @@ class StepProfiler:
             step_total_s=self.step_total_s,
             phases=tuple(rows),
         )
-
-
-class NullProfiler:
-    """No-op stand-in used when profiling is disabled (shared handles)."""
-
-    class _Null:
-        __slots__ = ()
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-    _HANDLE = _Null()
-
-    def step(self):
-        return self._HANDLE
-
-    def phase(self, name: str):
-        return self._HANDLE
-
-
-NULL_PROFILER = NullProfiler()
 
 
 @dataclass(frozen=True)

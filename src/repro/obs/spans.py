@@ -132,22 +132,20 @@ class SpanTracer:
         self._names: list[str] = []
         self._keys: list[tuple] = []
         self._values: list[tuple] = []
-        self._columns = (
-            self._ids, self._parents, self._start_wall, self._end_wall,
-            self._start_sim, self._end_sim, self._names, self._keys,
-            self._values,
-        )
 
     # ------------------------------------------------------------ emission
 
     def _new_span(self, name: str, attrs: dict) -> Span:
+        stack = self._stack
         span = Span(
-            span_id=self._next_id,
-            name=name,
-            start_wall_s=self._wall_time(),
-            start_sim_s=self._sim_time(),
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            attrs=attrs,
+            self._next_id,
+            name,
+            self._wall_time(),
+            self._sim_time(),
+            stack[-1].span_id if stack else None,
+            None,
+            None,
+            attrs,
         )
         self._next_id += 1
         return span
@@ -157,6 +155,38 @@ class SpanTracer:
         span = self._new_span(name, attrs)
         self._stack.append(span)
         return _SpanHandle(self, span)
+
+    @property
+    def wall_time(self) -> Callable[[], float]:
+        """The wall clock spans are timed with (seconds)."""
+        return self._wall_time
+
+    def record(
+        self,
+        name: str,
+        start_wall_s: float,
+        end_wall_s: float,
+        keys: tuple[str, ...],
+        values: tuple,
+    ) -> None:
+        """Store a finished span around a region that opened no spans.
+
+        The caller timed the region with :attr:`wall_time`; the region is
+        instantaneous in simulated time (it ran inside one tick).  The
+        attributes are ``dict(zip(keys, values))``.  The span gets the next
+        id and the innermost open span as its parent, so it is stored
+        exactly as ``with span(name, **attrs)`` around the region would
+        store it, without a handle, a :class:`Span` or an attribute dict in
+        between.
+        """
+        stack = self._stack
+        sim_s = self._sim_time()
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        self._store_row(
+            span_id, stack[-1].span_id if stack else 0,
+            start_wall_s, end_wall_s, sim_s, sim_s, name, keys, values,
+        )
 
     def instant(self, name: str, **attrs) -> Span:
         """A zero-duration span (a point decision, not a timed region)."""
@@ -169,34 +199,51 @@ class SpanTracer:
     def _finish(self, span: Span) -> None:
         span.end_wall_s = self._wall_time()
         span.end_sim_s = self._sim_time()
+        stack = self._stack
         # Close abandoned children too (exception unwound past them).
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
+        while stack and stack[-1] is not span:
+            stack.pop()
+        if stack:
+            stack.pop()
         self._store(span)
 
     def _store(self, span: Span) -> None:
-        keys = tuple(span.attrs)
-        keys = self._attr_keys.setdefault(keys, keys)
-        row = (
-            span.span_id,
-            0 if span.parent_id is None else span.parent_id,
-            span.start_wall_s,
-            span.end_wall_s,
-            span.start_sim_s,
-            span.end_sim_s,
-            span.name,
-            keys,
-            tuple(span.attrs.values()),
+        parent = span.parent_id
+        attrs = span.attrs
+        self._store_row(
+            span.span_id, 0 if parent is None else parent,
+            span.start_wall_s, span.end_wall_s, span.start_sim_s, span.end_sim_s,
+            span.name, tuple(attrs), tuple(attrs.values()),
         )
-        if len(self._names) < self.capacity:
-            for column, value in zip(self._columns, row):
-                column.append(value)
+
+    def _store_row(
+        self, span_id, parent, start_wall, end_wall, start_sim, end_sim,
+        name, keys, values,
+    ) -> None:
+        """Write one finished span into the ring (``parent`` 0: a root)."""
+        keys = self._attr_keys.setdefault(keys, keys)
+        names = self._names
+        if len(names) < self.capacity:
+            self._ids.append(span_id)
+            self._parents.append(parent)
+            self._start_wall.append(start_wall)
+            self._end_wall.append(end_wall)
+            self._start_sim.append(start_sim)
+            self._end_sim.append(end_sim)
+            names.append(name)
+            self._keys.append(keys)
+            self._values.append(values)
             return
         i = self._head
-        for column, value in zip(self._columns, row):
-            column[i] = value
+        self._ids[i] = span_id
+        self._parents[i] = parent
+        self._start_wall[i] = start_wall
+        self._end_wall[i] = end_wall
+        self._start_sim[i] = start_sim
+        self._end_sim[i] = end_sim
+        names[i] = name
+        self._keys[i] = keys
+        self._values[i] = values
         self._head = (i + 1) % self.capacity
         self._dropped += 1
 

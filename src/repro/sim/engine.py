@@ -23,7 +23,7 @@ from repro.apps.base import AppContext, Application
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import NULL_PROFILER, StepProfiler
+from repro.obs.profiler import STEP_PHASES, StepProfiler
 from repro.obs.spans import SpanTracer
 from repro.power.daq import PowerDaq
 from repro.power.energy import EnergyMeter
@@ -31,7 +31,7 @@ from repro.sim.clock import Clock, PeriodicTimer, ticks_for_duration
 from repro.sim.power_stage import PowerStage
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.soc.platform import PlatformSpec
+from repro.soc.platform import BOARD_RAIL, PlatformSpec
 from repro.thermal.model import ThermalModel
 from repro.units import celsius_to_kelvin, kelvin_to_celsius
 
@@ -57,19 +57,15 @@ class Simulation:
         self.platform = platform
         self.seed = seed
         self.clock = Clock(dt_s)
+        self._dt = self.clock.dt
         self.rng = RngRegistry(seed)
         self.metrics = MetricsRegistry()
-        self.spans = SpanTracer(sim_time_fn=lambda: self.clock.now)
+        clock = self.clock
+        self.spans = SpanTracer(sim_time_fn=lambda: clock.now)
         self.profiler = StepProfiler() if profile else None
-        prof = self.profiler if profile else NULL_PROFILER
-        # Cached accumulators: no per-step lookups on the hot path.
-        self._ph_step = prof.step()
-        self._ph_apps = prof.phase("apps")
-        self._ph_kernel = prof.phase("kernel")
-        self._ph_assemble = prof.phase("power_assemble")
-        self._ph_power = prof.phase("power_model")
-        self._ph_thermal = prof.phase("thermal")
-        self._ph_record = prof.phase("record")
+        # Phase boundaries of step(), in STEP_PHASES order; no timer at all
+        # when profiling is off.
+        self._laps = self.profiler.laps(STEP_PHASES) if profile else None
         ambient_k = (
             platform.default_ambient_k
             if ambient_c is None
@@ -88,6 +84,13 @@ class Simulation:
             metrics=self.metrics, spans=self.spans,
         )
         self.power_stage = PowerStage(platform, self.kernel, self.thermal)
+        rails = [c.rail for c in platform.clusters]
+        rails += [platform.gpu.rail, platform.memory.rail, BOARD_RAIL]
+        # Trace channel names, formatted once per node, domain and rail.
+        self._temp_channels = {n: f"temp.{n}" for n in self.thermal.node_names}
+        self._freq_channels = {d: f"freq.{d}" for d in self.kernel.policies}
+        self._power_channels = {r: f"power.{r}" for r in rails}
+        self._busy_channels = {c.name: f"busy.{c.name}" for c in platform.clusters}
         self.traces = TraceRecorder()
         self._m_steps = self.metrics.counter(
             "repro_sim_steps_total", "Simulation ticks executed"
@@ -138,78 +141,84 @@ class Simulation:
 
     # ---------------------------------------------------------------- step
 
-    def _dispatch(self, tags, gpu: bool, now_s: float) -> None:
-        for tag in tags:
-            if not isinstance(tag, tuple) or not tag:
-                continue
-            app = self._apps.get(tag[0])
-            if app is None:
-                continue
-            if gpu:
-                app.on_gpu_complete(tag, now_s)
-            else:
-                app.on_cpu_complete(tag, now_s)
-
     def step(self) -> None:
         """Advance the whole system by one tick.
 
-        The body is bracketed into the profiler phases of
-        :data:`repro.obs.profiler.STEP_PHASES`; with ``profile=False`` the
-        null profiler makes the brackets no-ops.
+        With ``profile=True`` the body is timed as the phases of
+        :data:`repro.obs.profiler.STEP_PHASES`, one lap per phase.
         """
-        with self._ph_step:
-            now = self.clock.now
-            dt = self.clock.dt
+        laps = self._laps
+        if laps is not None:
+            laps.start()
+        now = self.clock.now
+        dt = self._dt
 
-            with self._ph_apps:
-                for app in self._apps.values():
-                    app.step(now, dt)
+        for app in self._apps.values():
+            app.step(now, dt)
+        if laps is not None:
+            laps.lap()  # apps
 
-            with self._ph_kernel:
-                kres = self.kernel.tick(now, dt)
-                self._dispatch(kres.completed_cpu_tags, gpu=False, now_s=now)
-                self._dispatch(kres.gpu.completed_tags, gpu=True, now_s=now)
+        kres = self.kernel.tick(now, dt)
+        # Completion tags are (app name, ...) tuples; others have no owner.
+        owner = self._apps.get
+        for tag in kres.completed_cpu_tags:
+            app = owner(tag[0]) if isinstance(tag, tuple) and tag else None
+            if app is not None:
+                app.on_cpu_complete(tag, now)
+        for tag in kres.gpu.completed_tags:
+            app = owner(tag[0]) if isinstance(tag, tuple) and tag else None
+            if app is not None:
+                app.on_gpu_complete(tag, now)
+        if laps is not None:
+            laps.lap()  # kernel
 
-            with self._ph_assemble:
-                rail_watts, soc_watts, battery_w = self.power_stage.assemble(kres)
+        rail_watts, battery_w = self.power_stage.assemble(kres)
+        if laps is not None:
+            laps.lap()  # power_assemble
 
-            with self._ph_thermal:
-                self.thermal.step(rail_watts)
+        self.thermal.step(rail_watts)
+        if laps is not None:
+            laps.lap()  # thermal
 
-            with self._ph_power:
-                self.kernel.update_power_readings(soc_watts, dt)
-                self.energy.accumulate(rail_watts, dt)
-                if self.daq is not None:
-                    self.daq.capture(now, dt, battery_w)
-                if self.battery is not None:
-                    self.battery.drain(battery_w, dt)
+        self.kernel.update_power_readings(rail_watts, dt)
+        self.energy.accumulate(rail_watts, dt)
+        if self.daq is not None:
+            self.daq.capture(now, dt, battery_w)
+        if self.battery is not None:
+            self.battery.drain(battery_w, dt)
+        if laps is not None:
+            laps.lap()  # power_model
 
-            with self._ph_record:
-                self._m_steps.inc()
-                if self._record_timer.poll():
-                    self._record(now, kres, rail_watts, battery_w)
-                self.clock.advance()
+        self._m_steps.inc()
+        if self._record_timer.poll():
+            self._record(now, kres, rail_watts, battery_w)
+        self.clock.advance()
+        if laps is not None:
+            laps.finish()  # record
 
     def _record(self, now, kres, rail_watts, battery_w) -> None:
+        record = self.traces.record
         max_temp_c = kelvin_to_celsius(self.thermal.max_temperature_k())
         self._m_sim_time.set(now)
         self._m_power.set(battery_w)
         self._m_temp_max.set(max_temp_c)
+        names = self._temp_channels
         for node, temp_k in self.thermal.temperatures_k().items():
-            self.traces.record(f"temp.{node}", now, kelvin_to_celsius(temp_k))
-        self.traces.record("temp.max", now, max_temp_c)
+            record(names[node], now, kelvin_to_celsius(temp_k))
+        record("temp.max", now, max_temp_c)
+        names = self._freq_channels
         for domain, freq in kres.freqs_hz.items():
-            self.traces.record(f"freq.{domain}", now, freq / 1e6)
+            record(names[domain], now, freq / 1e6)
+        names = self._power_channels
         for rail, watts in rail_watts.items():
-            self.traces.record(f"power.{rail}", now, watts)
-        self.traces.record("power.total", now, battery_w)
-        for cluster in self.platform.clusters:
-            self.traces.record(
-                f"busy.{cluster.name}", now, kres.usage[cluster.name].busy_cores
-            )
-        self.traces.record("busy.gpu", now, kres.gpu.busy_fraction)
+            record(names[rail], now, watts)
+        record("power.total", now, battery_w)
+        usage = kres.usage
+        for name, channel in self._busy_channels.items():
+            record(channel, now, usage[name].busy_cores)
+        record("busy.gpu", now, kres.gpu.busy_fraction)
         if self.battery is not None:
-            self.traces.record("battery.soc", now, self.battery.soc)
+            record("battery.soc", now, self.battery.soc)
 
     # ----------------------------------------------------------------- run
 

@@ -54,6 +54,11 @@ class OppTable:
                     f"{cur.voltage_v} after {prev.voltage_v}"
                 )
         self._points = pts
+        self._freqs = tuple(p.freq_hz for p in pts)
+        self._voltages = tuple(p.voltage_v for p in pts)
+        # Exact grid frequencies resolve by one dict lookup to what the
+        # tolerant scan returns for them; other values fall back to the scan.
+        self._index = {f: self._scan(f) for f in self._freqs}
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "OppTable":
@@ -89,22 +94,35 @@ class OppTable:
 
     def frequencies_hz(self) -> tuple[float, ...]:
         """All frequencies, ascending."""
-        return tuple(p.freq_hz for p in self._points)
+        return self._freqs
+
+    def voltages_v(self) -> tuple[float, ...]:
+        """Supply voltage of every OPP, in table order."""
+        return self._voltages
 
     def frequencies_khz(self) -> tuple[int, ...]:
         """All frequencies in kilohertz (the cpufreq sysfs unit), ascending."""
         return tuple(hz_to_khz(p.freq_hz) for p in self._points)
 
-    def index_of(self, freq_hz: float) -> int:
-        """Index of the exact frequency ``freq_hz``; raises if absent."""
-        for i, p in enumerate(self._points):
-            if abs(p.freq_hz - freq_hz) <= 0.5:
+    def _scan(self, freq_hz: float) -> int | None:
+        """First OPP within 0.5 Hz of ``freq_hz``, or None."""
+        for i, f in enumerate(self._freqs):
+            if abs(f - freq_hz) <= 0.5:
                 return i
-        raise ConfigurationError(f"{freq_hz} Hz is not an OPP of this table")
+        return None
+
+    def index_of(self, freq_hz: float) -> int:
+        """Index of the OPP within 0.5 Hz of ``freq_hz``; raises if absent."""
+        i = self._index.get(freq_hz)
+        if i is None:
+            i = self._scan(freq_hz)
+            if i is None:
+                raise ConfigurationError(f"{freq_hz} Hz is not an OPP of this table")
+        return i
 
     def voltage_for(self, freq_hz: float) -> float:
-        """Supply voltage of the exact OPP at ``freq_hz``."""
-        return self._points[self.index_of(freq_hz)].voltage_v
+        """Supply voltage of the OPP within 0.5 Hz of ``freq_hz``."""
+        return self._voltages[self.index_of(freq_hz)]
 
     def floor(self, freq_hz: float) -> OperatingPoint:
         """Highest OPP whose frequency does not exceed ``freq_hz``.

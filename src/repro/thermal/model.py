@@ -93,6 +93,7 @@ class ThermalModel:
         hold = (left * (np.expm1(scaled) / poles)) @ right
         self._bd = hold @ self._b
         self._wd = hold @ self._w
+        self._ambient_drive = self._wd * self._ambient_k
         self._a_inv = (left / poles) @ right
 
     @property
@@ -118,6 +119,7 @@ class ThermalModel:
     def set_ambient(self, ambient_k: float) -> None:
         """Change the ambient temperature (takes effect next step)."""
         self._ambient_k = float(ambient_k)
+        self._ambient_drive = self._wd * self._ambient_k
 
     @property
     def ambient_conductance_scale(self) -> float:
@@ -178,11 +180,24 @@ class ThermalModel:
     def step(self, rail_powers: Mapping[str, float]) -> None:
         """Advance one step with the given per-rail powers held constant."""
         p = self._power_vector(rail_powers)
-        self._state = self._ad @ self._state + self._bd @ p + self._wd * self._ambient_k
+        # _ambient_drive is wd * ambient, refreshed whenever either changes.
+        self._state = self._ad @ self._state + self._bd @ p + self._ambient_drive
+
+    def node_index(self, node: str) -> int:
+        """Position of ``node`` in the state vector (see :meth:`temperature_at`)."""
+        return self._index(node)
 
     def temperature_k(self, node: str) -> float:
         """Current temperature of ``node`` in kelvin."""
         return float(self._state[self._index(node)])
+
+    def temperature_at(self, index: int) -> float:
+        """Current temperature of the node at ``index`` in kelvin.
+
+        Per-tick readers resolve :meth:`node_index` once at construction
+        and read by position, with no name lookup.
+        """
+        return float(self._state[index])
 
     def temperatures_k(self) -> dict[str, float]:
         """Current temperature of every node in kelvin."""

@@ -180,6 +180,29 @@ def test_campaign_spec_from_dict_names_missing_keys(data, message):
         CampaignSpec.from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"name": 5}, "campaign 'name' must be a string, got int"),
+    ({"name": "x", "axes": 5}, "campaign 'axes' must be a list, got int"),
+    ({"name": "x", "axes": {"name": "seed"}}, "campaign 'axes' must be a list, got dict"),
+    ({"name": "x", "base": 5}, "campaign 'base' must be a JSON object, got int"),
+    ({"name": "x", "base": []}, "campaign 'base' must be a JSON object, got list"),
+    ({"name": "x", "axes": [{"name": "seed", "values": 5}]},
+     "axis 'seed' 'values' must be a list, got int"),
+    ({"name": "x", "axes": [{"name": 5, "values": [1]}]},
+     "axis 'name' must be a string, got int"),
+])
+def test_campaign_spec_from_dict_names_wrongly_typed_fields(data, message):
+    with pytest.raises(ConfigurationError, match=message):
+        CampaignSpec.from_dict(data)
+
+
+def test_axis_rejects_wrongly_typed_fields():
+    with pytest.raises(ConfigurationError, match="axis 'name' must be a string"):
+        Axis(5, (1,))
+    with pytest.raises(ConfigurationError, match="'values' must be a list, got str"):
+        Axis("platform", "nexus6p")
+
+
 def test_axis_normalizes_apps_values():
     axis = Axis("apps", (AppSpec.catalog("stickman"),
                          ({"kind": "batch", "name": "bml", "cluster": None},)))

@@ -6,6 +6,8 @@ below is a mistake a user can make on the command line; none may show a
 traceback or exit 1 (which means a gate the command evaluated failed).
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -27,6 +29,18 @@ CASES = {
         ["campaign", "run", "--spec", "{empty}", "--store", "{store}"],
         "missing key(s) ['name']",
     ),
+    **{
+        f"campaign-spec-{field}-wrong-type": (
+            ["campaign", "status", "--spec", f"{{{field}_typed}}", "--store", "{store}"],
+            reason,
+        )
+        for field, reason in (
+            ("axes", "campaign 'axes' must be a list, got int"),
+            ("base", "campaign 'base' must be a JSON object, got int"),
+            ("values", "axis 'seed' 'values' must be a list, got int"),
+            ("name", "campaign 'name' must be a string, got int"),
+        )
+    },
     "campaign-spec-and-preset": (
         ["campaign", "run", "--spec", "{empty}", "--preset", "smoke"],
         "exactly one of --spec FILE or --preset NAME",
@@ -60,6 +74,11 @@ CASES = {
         ["obs", "check", "--slo", "{missing}", "--campaign", "smoke",
          "--store", "{store}"],
         "cannot read SLO spec",
+    ),
+    "obs-check-aggregate-truncated": (
+        ["obs", "check", "--slo", "chaos-hardening", "--campaign", "cut",
+         "--store", "{store}"],
+        "malformed JSON in the result store",
     ),
     "obs-check-no-aggregate": (
         ["obs", "check", "--slo", "chaos-hardening", "--campaign", "ghost",
@@ -137,6 +156,18 @@ def paths(tmp_path, monkeypatch):
     monkeypatch.setattr(nexus, "table1_runs", lambda seed: {"only": None})
     (tmp_path / "truncated.json").write_text('{"name": "cut", "base": {')
     (tmp_path / "empty.json").write_text("{}")
+    typed = {
+        "axes": {"name": "x", "axes": 5},
+        "base": {"name": "x", "base": 5},
+        "values": {"name": "x", "axes": [{"name": "seed", "values": 5}]},
+        "name": {"name": 5},
+    }
+    for field, spec in typed.items():
+        (tmp_path / f"{field}_typed.json").write_text(json.dumps(spec))
+    # A store whose aggregate was cut short mid-write.
+    cut = tmp_path / "store" / "campaigns" / "cut"
+    cut.mkdir(parents=True)
+    (cut / "aggregate.json").write_text('{"trunc')
     (tmp_path / "file").write_text("")
     return {
         "missing": tmp_path / "missing.json",
@@ -145,6 +176,7 @@ def paths(tmp_path, monkeypatch):
         # A path below a regular file: no directory can be made there.
         "blocked": tmp_path / "file" / "x",
         "store": tmp_path / "store",
+        **{f"{field}_typed": tmp_path / f"{field}_typed.json" for field in typed},
     }
 
 

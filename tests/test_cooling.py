@@ -53,8 +53,9 @@ def test_state_for_cap(device):
 
 
 def test_state_for_power(device):
-    power_of = lambda f: f / 1e9  # monotone fake table: watts = GHz
-    assert device.state_for_power(2.0, power_of) == 0
-    assert device.state_for_power(1.0, power_of) == 1
-    assert device.state_for_power(0.3, power_of) == 3
-    assert device.state_for_power(0.0, power_of) == 3  # lowest always allowed
+    # Monotone fake power table: watts = GHz.
+    powers = [f / 1e9 for f in device.policy.opps.frequencies_hz()]
+    assert device.state_for_power(2.0, powers) == 0
+    assert device.state_for_power(1.0, powers) == 1
+    assert device.state_for_power(0.3, powers) == 3
+    assert device.state_for_power(0.0, powers) == 3  # lowest always allowed

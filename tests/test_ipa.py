@@ -99,7 +99,7 @@ def test_budget_never_negative():
 
 def test_allocation_proportional_to_requests():
     zone, gov, _, _ = make_fixture(requests=(3.0, 1.0))
-    grants = gov._allocate(2.0)
+    grants = gov._allocate(2.0, gov.power_tables())
     assert grants[0] == pytest.approx(1.5)
     assert grants[1] == pytest.approx(0.5)
 
@@ -108,7 +108,7 @@ def test_allocation_redistributes_surplus():
     # Actor 0 is capped at its ceiling; the surplus flows to actor 1.
     zone, gov, _, _ = make_fixture(requests=(10.0, 1.0))
     ceilings = [a.max_power_w(1600e6) for a in gov.actors]
-    grants = gov._allocate(sum(ceilings) + 5.0)
+    grants = gov._allocate(sum(ceilings) + 5.0, gov.power_tables())
     assert grants[0] == pytest.approx(ceilings[0])
     assert grants[1] <= ceilings[1] + 1e-9
 

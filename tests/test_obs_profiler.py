@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.kernel.kernel import KernelConfig
-from repro.obs.profiler import NULL_PROFILER, STEP_PHASES, StepProfiler
+from repro.obs.profiler import STEP_PHASES, StepProfiler
 from repro.sim.engine import Simulation
 from repro.soc.snapdragon810 import nexus6p
 
@@ -57,12 +57,6 @@ def test_unknown_phase_raises():
         prof.report().phase("nope")
 
 
-def test_null_profiler_is_noop():
-    with NULL_PROFILER.step():
-        with NULL_PROFILER.phase("anything"):
-            pass  # no state, no error
-
-
 def test_render_mentions_every_phase():
     prof = StepProfiler()
     with prof.step():
@@ -99,4 +93,4 @@ def test_simulation_profile_coverage():
 def test_simulation_without_profile_has_no_profiler():
     sim = Simulation(nexus6p(), kernel_config=KernelConfig(), seed=1)
     assert sim.profiler is None
-    sim.run(0.1)  # the null profiler brackets must not interfere
+    sim.run(0.1)  # an unprofiled run holds no lap timer

@@ -121,7 +121,7 @@ def test_rail_powers_cover_all_rails(model):
     gpu_act = ComponentActivity(plat.gpu.opps.min_freq_hz, 0.0, 320.0)
     rails = pm.rail_powers(activity, gpu_act, 0.0, 320.0)
     assert set(rails) == {"a15", "a7", "gpu", "mem"}
-    assert all(sample.total_w >= 0.0 for sample in rails.values())
+    assert all(watts >= 0.0 for watts in rails.values())
 
 
 def test_rail_powers_missing_cluster_activity(model):

@@ -41,7 +41,7 @@ def test_grants_are_bounded(items, budget):
     requests = [r for r, _ in items]
     peaks = [p for _, p in items]
     governor = make_governor(requests, peaks)
-    grants = governor._allocate(budget)
+    grants = governor._allocate(budget, governor.power_tables())
     assert len(grants) == len(items)
     for grant, peak in zip(grants, peaks):
         assert -1e-9 <= grant <= peak + 1e-9
@@ -55,7 +55,7 @@ def test_allocation_proportional_when_unconstrained(items, budget):
     requests = [r for r, _ in items]
     peaks = [1e9] * len(items)  # no ceiling binds
     governor = make_governor(requests, peaks)
-    grants = governor._allocate(budget)
+    grants = governor._allocate(budget, governor.power_tables())
     total_req = sum(requests)
     for grant, request in zip(grants, requests):
         assert grant == pytest.approx(budget * request / total_req, rel=1e-6)
