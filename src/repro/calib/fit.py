@@ -30,8 +30,9 @@ all stages and returns the :class:`FitReport` that
 PlatformDef`.
 
 Two fit paths share this module.  The *clean* path is the original PR 8
-numerics, bit-for-bit — it runs whenever the trace is sample-aligned,
-uniform and undegraded, so clean-trace fits stay byte-identical.  The
+estimator sequence — it runs whenever the trace is sample-aligned,
+uniform and undegraded, so clean-trace fits never depend on the robust
+machinery.  The
 *robust* path (``robust="on"``, or ``"auto"`` on a degraded trace) builds
 on :mod:`repro.calib.robust`: gap-aware grid alignment, Hampel despiking,
 Huber/IRLS weighting, and per-parameter confidence grades.  Unless
@@ -47,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.optimize import nnls
 
 from repro.calib import robust as rb
 from repro.calib.trace import (
@@ -59,6 +58,7 @@ from repro.calib.trace import (
     VOLT_PREFIX,
 )
 from repro.core.calibration import fit_log_linear_leakage
+from repro.core.linalg import logm, nnls, nnls_scan
 from repro.errors import CalibrationError, StabilityError
 from repro.kernel.cpuidle import IDLE_BUSY_THRESHOLD
 from repro.soc.power_model import memory_activity_proxy
@@ -299,6 +299,24 @@ def _beta_column(volts, temps_k, beta: float) -> np.ndarray:
     return volts * temps_k**2 * np.exp(-beta / temps_k)
 
 
+def _beta_grid_search(p, dyn_col, volts, temps_k, design_extra) -> float:
+    """The beta of least joint-NNLS residual: a 35-point grid over
+    :data:`BETA_GRID_K`, then two 9-point refinements around the best.
+    Every grid point of one pass is scored in one :func:`nnls_scan`."""
+    fixed = np.column_stack([*design_extra, dyn_col])
+    lo, hi = BETA_GRID_K
+    grid = np.linspace(lo, hi, 35)
+    for _ in range(3):
+        leakage = _beta_column(volts[:, None], temps_k[:, None], grid)
+        best = int(np.argmin(nnls_scan(fixed, leakage, p)))
+        step = grid[1] - grid[0]
+        lo = max(BETA_GRID_K[0], grid[best] - step)
+        hi = min(BETA_GRID_K[1], grid[best] + step)
+        beta = float(grid[best])
+        grid = np.linspace(lo, hi, 9)
+    return beta
+
+
 def _two_step_leakage(
     p, dyn_col, volts, temps_k, design_extra, warnings, what: str
 ) -> tuple[np.ndarray, float, float]:
@@ -308,28 +326,12 @@ def _two_step_leakage(
     Returns ``(linear_coeffs, kappa, beta)`` with the leakage evaluated at
     the reference voltage (the ``volts`` column carries the V/v_ref bias).
     """
-    def solve_at(beta: float):
-        a = np.column_stack([*design_extra, dyn_col, _beta_column(volts, temps_k, beta)])
-        coef, rnorm = nnls(a, p)
-        return coef, rnorm
-
-    lo, hi = BETA_GRID_K
-    grid = np.linspace(lo, hi, 35)
-    for _ in range(3):
-        scores = [solve_at(b)[1] for b in grid]
-        best = int(np.argmin(scores))
-        step = grid[1] - grid[0]
-        lo = max(BETA_GRID_K[0], grid[best] - step)
-        hi = min(BETA_GRID_K[1], grid[best] + step)
-        beta = float(grid[best])
-        grid = np.linspace(lo, hi, 9)
-
-    coef = solve_at(beta)[0]
-    kappa = float(coef[-1])
+    beta = _beta_grid_search(p, dyn_col, volts, temps_k, design_extra)
     # Refinement loop: fix beta, re-solve the linear terms, re-fit
     # (kappa, beta) on the leakage residual with the shared estimator.
     for _ in range(3):
-        coef = solve_at(beta)[0]
+        a = np.column_stack([*design_extra, dyn_col, _beta_column(volts, temps_k, beta)])
+        coef = nnls(a, p)[0]
         linear = np.column_stack([*design_extra, dyn_col]) @ coef[:-1]
         totals = (p - linear) / volts
         valid = totals > 0.0
@@ -608,7 +610,7 @@ def _rc_stage(trace, meta, warnings) -> StageFit:
             f"rc: estimated transition matrix is not a stable thermal "
             f"propagator (eigenvalues {np.round(eigvals, 4)})"
         )
-    a_mat = logm(ad).real / dt_rec
+    a_mat = logm(ad) / dt_rec
     gain = np.linalg.solve(a_mat, ad - np.eye(n))
     b_mat = np.linalg.solve(gain, bd)
     b_int = np.linalg.solve(gain, c_int)
@@ -793,27 +795,7 @@ def _two_step_leakage_robust(
             [*design_extra, dyn_col, _beta_column(volts, temps_k, beta)]
         )
 
-    def solve_at(beta: float, weights=None):
-        a = design_at(beta)
-        if weights is None:
-            return nnls(a, p)
-        sw = np.sqrt(weights)
-        coef, rnorm = nnls(a * sw[:, None], p * sw)
-        return coef, rnorm
-
-    lo, hi = BETA_GRID_K
-    grid = np.linspace(lo, hi, 35)
-    for _ in range(3):
-        scores = [solve_at(b)[1] for b in grid]
-        best = int(np.argmin(scores))
-        step = grid[1] - grid[0]
-        lo = max(BETA_GRID_K[0], grid[best] - step)
-        hi = min(BETA_GRID_K[1], grid[best] + step)
-        beta = float(grid[best])
-        grid = np.linspace(lo, hi, 9)
-
-    coef = solve_at(beta)[0]
-    kappa = float(coef[-1])
+    beta = _beta_grid_search(p, dyn_col, volts, temps_k, design_extra)
     weights = np.ones(p.size)
     leak_se = (float("inf"), float("inf"))
     # Huber scale never drops below 0.1% of the typical rail power:
@@ -822,7 +804,8 @@ def _two_step_leakage_robust(
     # leakage-informative) samples.
     scale_floor = 1e-3 * float(np.median(np.abs(p)))
     for _ in range(3):
-        coef = solve_at(beta, weights)[0]
+        sw = np.sqrt(weights)
+        coef = nnls(design_at(beta) * sw[:, None], p * sw)[0]
         residuals = p - design_at(beta) @ coef
         scale = max(rb.robust_scale(residuals), scale_floor)
         if scale > 0.0:
@@ -1391,7 +1374,7 @@ def fit_trace(trace, robust: str = "auto") -> FitReport:
     ``robust`` selects the fit path (:data:`ROBUST_MODES`): ``"off"`` is
     the clean PR 8 numerics (raises on any defect), ``"on"`` forces the
     robust estimators, and ``"auto"`` (default) picks per
-    :func:`needs_robust` — so clean traces keep byte-identical results.
+    :func:`needs_robust` — so clean traces give the clean path's bytes.
     Except under ``"off"``, a stage that cannot be fitted is demoted to
     its structural prior with an ``unfitted`` verdict instead of raising.
     """

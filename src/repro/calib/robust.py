@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.linalg import nnls
 from repro.errors import CalibrationError
 
 #: Consistency factor making the median absolute deviation estimate the
@@ -253,8 +254,6 @@ def irls_nnls(
 
     ``min_scale`` floors the Huber scale exactly as in :func:`irls_lstsq`.
     """
-    from scipy.optimize import nnls
-
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     coef, _ = nnls(a, y)

@@ -1,10 +1,11 @@
-"""Nothing outside ``repro.calib`` imports SciPy.
+"""No part of the runtime imports SciPy.
 
 The simulation path takes its root finder and quadrature from
 ``repro.core.numeric`` and discretises the thermal network with one
-``numpy.linalg.eigh`` (``repro.thermal.model``), so SciPy is loaded only
-by the calibration package (``nnls``, ``logm``).  Each check runs in a
-fresh interpreter, because this test process has long since imported it.
+``numpy.linalg.eigh`` (``repro.thermal.model``); calibration takes its
+``nnls`` and ``logm`` from ``repro.core.linalg``.  SciPy is a test
+dependency only, the oracle of the ports.  Each check runs in a fresh
+interpreter, because this test process has long since imported it.
 """
 
 import json
@@ -19,7 +20,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 _REPORT = """
 print(json.dumps(sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+    m for m, module in sys.modules.items()
+    if module is not None and (m == "scipy" or m.startswith("scipy."))
 )))
 """
 
@@ -59,10 +61,42 @@ except SystemExit:
 """ + _REPORT
 
 
-def _probe(code: str, *argv: str) -> list[str]:
+#: Excite, degrade and fit one platform through the CLI at a reduced scale
+#: (short dwells, soak and cooldown), counting the calls that reach the
+#: calibration's ``nnls`` and ``logm``.  Prints the exit codes, then the
+#: call counts.
+_CALIBRATION = """
+import json, sys
+import repro.calib
+import repro.calib.fit as fit
+from repro.cli import main
+
+calls = {"nnls": 0, "logm": 0}
+for name in calls:
+    def counting(*args, _real=getattr(fit, name), _name=name, **kwargs):
+        calls[_name] += 1
+        return _real(*args, **kwargs)
+    setattr(fit, name, counting)
+
+small = ["--dwell-s", "0.4", "--soak-s", "4", "--cooldown-s", "8", "--max-opps", "3"]
+codes = [
+    main(["platforms", "excite", "--platform", "odroid-xu3", "--seed", "1",
+          "--out", "clean.json", *small]),
+    main(["platforms", "degrade", "--trace", "clean.json", "--model",
+          "noisy-sysfs", "--seed", "7", "--out", "degraded.json"]),
+    main(["platforms", "fit", "--trace", "clean.json", "--out", "fitted.json"]),
+]
+for path in ("clean.json", "degraded.json"):
+    repro.calib.fit_platform(repro.calib.load_trace_file(path))
+print(json.dumps(codes))
+print(json.dumps(calls))
+""" + _REPORT
+
+
+def _probe(code: str, *argv: str, cwd=None) -> list[str]:
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
@@ -89,7 +123,26 @@ def test_cli_entry_point_loads_no_scipy(argv, tmp_path):
     assert json.loads(loaded) == []
 
 
-def test_calibration_still_loads_scipy():
-    """The one remaining user; also shows the probe can see SciPy."""
-    *_, loaded = _probe("import json, sys\nimport repro.calib\n" + _REPORT)
-    assert {"scipy.linalg", "scipy.optimize"} <= set(json.loads(loaded))
+def test_the_probe_can_see_scipy():
+    *_, loaded = _probe("import json, sys\nimport scipy.linalg\n" + _REPORT)
+    assert "scipy.linalg" in json.loads(loaded)
+
+
+def test_calibration_loads_no_scipy(tmp_path):
+    """``import repro.calib``, a clean and a degraded ``fit_platform`` and
+    ``repro platforms fit``: every estimator ran, none loaded SciPy."""
+    *_, codes, calls, loaded = _probe(_CALIBRATION, cwd=tmp_path)
+    assert json.loads(codes) == [0, 0, 0]
+    calls = json.loads(calls)
+    assert calls["nnls"] > 0 and calls["logm"] > 0
+    assert json.loads(loaded) == []
+
+
+def test_calibration_runs_without_scipy_installed(tmp_path):
+    """With ``import scipy`` made to fail, the whole pipeline still runs."""
+    *_, codes, calls, loaded = _probe(
+        'import sys\nsys.modules["scipy"] = None\n' + _CALIBRATION, cwd=tmp_path
+    )
+    assert json.loads(codes) == [0, 0, 0]
+    assert json.loads(calls)["logm"] > 0
+    assert json.loads(loaded) == []
