@@ -20,7 +20,9 @@ from _harness import run_once
 #: immune to loaded CI hosts slowing both paths).  Measured as the
 #: `fit-degraded` / `fit-clean` `op_s.p50` ratio of `benchmarks/perf` on
 #: a 2-core x86-64 host: ~5.7x with a per-run Hampel loop, ~2.6x since one
-#: vectorised pass despikes every run of a channel.
+#: vectorised pass despikes every run of a channel, ~1.9x since the
+#: energy-balance windows are integrated in one pass per record count and
+#: every robust median comes from one partition.
 MAX_SLOWDOWN = 5.0
 
 

@@ -772,12 +772,30 @@ def _fit_ladder_robust(prior_freqs_mhz, f_mhz, volts, warnings, what: str):
     back to one voltage per OPP, so the ladder test sees the same shape a
     clean capture would.
     """
-    groups: dict[float, list[float]] = {}
-    for f, v in zip(f_mhz, volts):
-        groups.setdefault(round(float(f), 3), []).append(float(v))
-    freqs = sorted(groups)
-    medians = [float(np.median(groups[f])) for f in freqs]
+    freqs, key = _rounded_mhz(f_mhz)
+    # Samples grouped by key, each group in sample order.
+    order = np.argsort(key, kind="stable")
+    grouped = np.asarray(volts, dtype=float)[order]
+    bounds = np.searchsorted(key[order], np.arange(len(freqs) + 1))
+    medians = [
+        float(rb.median(grouped[lo:hi]))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     return _fit_ladder(prior_freqs_mhz, freqs, medians, warnings, what)
+
+
+def _rounded_mhz(f_mhz) -> tuple[list[float], np.ndarray]:
+    """Sorted distinct ``round(f, 3)`` keys of ``f_mhz`` and each sample's
+    key index, rounding each distinct frequency once.  Rounding is
+    monotone, so distinct frequencies that share a key are neighbours in
+    ``np.unique``'s order and merge into one group."""
+    distinct, inverse = np.unique(
+        np.asarray(f_mhz, dtype=float), return_inverse=True
+    )
+    rounded = [round(float(f), 3) for f in distinct]
+    fresh = [True] + [a != b for a, b in zip(rounded, rounded[1:])]
+    freqs = [f for f, new in zip(rounded, fresh) if new]
+    return freqs, (np.cumsum(fresh) - 1)[inverse]
 
 
 def _two_step_leakage_robust(
@@ -802,11 +820,12 @@ def _two_step_leakage_robust(
     # residual structure finer than the meter resolves is refinement
     # error, and downweighting it would bias the hottest (most
     # leakage-informative) samples.
-    scale_floor = 1e-3 * float(np.median(np.abs(p)))
+    scale_floor = 1e-3 * float(rb.median(np.abs(p)))
     for _ in range(3):
         sw = np.sqrt(weights)
-        coef = nnls(design_at(beta) * sw[:, None], p * sw)[0]
-        residuals = p - design_at(beta) @ coef
+        design = design_at(beta)
+        coef = nnls(design * sw[:, None], p * sw)[0]
+        residuals = p - design @ coef
         scale = max(rb.robust_scale(residuals), scale_floor)
         if scale > 0.0:
             weights = rb.huber_weights(np.abs(residuals), scale)
@@ -923,9 +942,7 @@ def _component_stages_robust(
         n_samples=n_used,
         diagnostics={
             "ladder_rms_v": ladder_rms,
-            "visited_mhz": sorted({
-                round(float(f), 3) for f in freq_mhz_col[mask]
-            }),
+            "visited_mhz": _rounded_mhz(freq_mhz_col[mask])[0],
             "temp_outliers_replaced": int(spiky.sum()),
         },
         verdict=_verdict_from_grades(dvfs_grades),
@@ -1027,7 +1044,7 @@ def _board_stage_robust(trace) -> StageFit:
             residual_rms=0.0, n_samples=0,
         )
     _, p = trace.series("power.board")
-    board_w = float(np.median(p))
+    board_w = float(rb.median(p))
     residuals = p - board_w
     spread = rb.MAD_SCALE * rb.mad(p)
     grades = {
@@ -1062,6 +1079,73 @@ def _rc_windows(present, trans, tile: int, min_recs: int) -> list:
             if idx.size >= min_recs:
                 windows.append(idx)
     return windows
+
+
+def _energy_balance_system(
+    times, windows, nodes, links, temps, powers, split, varying, q_const,
+    t_amb_k,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Design and target of the windowed energy balance (see
+    :func:`_rc_stage_robust`): one row per (window, node), windows outer.
+
+    Node ``i``'s row holds ``T_i(t1) - T_i(t0)`` in column ``i`` and
+    ``-int(T_other - T_i) dt`` in each incident link's column; its target
+    is the heat the rails deposit on it.  Windows are grouped by record
+    count, and each group's integrands (link temperature differences and
+    varying rail powers) are integrated by one ``np.trapezoid`` along the
+    last axis of a C-ordered ``(integrand, window, record)`` array.  numpy
+    reduces each such row with the same pairwise sum it applies to one
+    window's 1-D array, so every integral, and every row, has the bits of
+    a per-window loop.
+    """
+    n = len(nodes)
+    node_temps = np.vstack([temps[name] for name in nodes])
+    # One integrand per (node, incident link): each node integrates
+    # T_other - T_node itself, because negating the other end's integral
+    # would flip the sign of an exactly-zero one.
+    ends, columns, differences = [], [], []
+    for i, name in enumerate(nodes):
+        for l, (a, b) in enumerate(links):
+            if name in (a, b):
+                other = b if a == name else a
+                other_temp = t_amb_k if other == "ambient" else temps[other]
+                ends.append(i)
+                columns.append(n + l)
+                differences.append(other_temp - temps[name])
+    integrands = np.array(
+        [*differences, *(powers[r] for r in varying)], dtype=float
+    ).reshape(-1, times.size)
+
+    first = np.array([w[0] for w in windows])
+    last = np.array([w[-1] for w in windows])
+    rises = node_temps[:, last] - node_temps[:, first]
+    spans = times[last] - times[first]
+    lengths = np.array([w.size for w in windows])
+    integrals = np.empty((integrands.shape[0], lengths.size))
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        idx = np.stack([windows[w] for w in members])
+        # np.take keeps the records last in memory (fancy indexing does
+        # not), so the sum runs along them as in the 1-D call.
+        integrals[:, members] = np.trapezoid(
+            np.take(integrands, idx, axis=1), times[idx], axis=-1
+        )
+
+    design = np.zeros((lengths.size, n, n + len(links)))
+    design[:, np.arange(n), np.arange(n)] = rises.T
+    design[:, ends, columns] = -integrals[: len(ends)].T
+    rail_row = {r: len(ends) + j for j, r in enumerate(varying)}
+    target = np.zeros((n, lengths.size))
+    for i, name in enumerate(nodes):
+        for rail in sorted(split):
+            frac = float(split[rail].get(name, 0.0))
+            if frac == 0.0:
+                continue
+            if rail in rail_row:
+                target[i] += frac * integrals[rail_row[rail]]
+            else:
+                target[i] += frac * q_const[rail] * spans
+    return design.reshape(-1, n + len(links)), target.T.ravel()
 
 
 def _rc_stage_robust(trace, meta, warnings) -> StageFit:
@@ -1137,37 +1221,10 @@ def _rc_stage_robust(trace, meta, warnings) -> StageFit:
         )
 
     node_index = {name: i for i, name in enumerate(nodes)}
-    t_amb_k = celsius_to_kelvin(trace.ambient_c)
-    rows, rhs = [], []
-    for win in windows:
-        tt = times[win]
-        for name in nodes:
-            i = node_index[name]
-            temp_i = temps[name][win]
-            row = np.zeros(n_unknowns)
-            row[i] = temp_i[-1] - temp_i[0]
-            for l, (a, b) in enumerate(links):
-                if name not in (a, b):
-                    continue
-                other = b if a == name else a
-                temp_o = (
-                    np.full(tt.size, t_amb_k) if other == "ambient"
-                    else temps[other][win]
-                )
-                row[n + l] = -np.trapezoid(temp_o - temp_i, tt)
-            heat_j = 0.0
-            for rail in rails:
-                frac = float(split[rail].get(name, 0.0))
-                if frac == 0.0:
-                    continue
-                if rail in varying:
-                    heat_j += frac * np.trapezoid(powers[rail][win], tt)
-                else:
-                    heat_j += frac * q_const[rail] * (tt[-1] - tt[0])
-            rows.append(row)
-            rhs.append(heat_j)
-    design = np.vstack(rows)
-    target = np.asarray(rhs)
+    design, target = _energy_balance_system(
+        times, windows, nodes, links, temps, powers, split, varying, q_const,
+        celsius_to_kelvin(trace.ambient_c),
+    )
     if np.linalg.matrix_rank(design) < n_unknowns:
         raise CalibrationError(
             "rc: the declared topology is not identifiable from the "
@@ -1176,7 +1233,7 @@ def _rc_stage_robust(trace, meta, warnings) -> StageFit:
         )
     solution, weights = rb.irls_nnls(
         design, target,
-        min_scale=1e-3 * float(np.median(np.abs(target))),
+        min_scale=1e-3 * float(rb.median(np.abs(target))),
     )
     caps, conducts = solution[:n], solution[n:]
     if np.any(caps <= 0.0) or np.any(conducts <= 0.0):

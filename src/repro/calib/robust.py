@@ -7,6 +7,8 @@ none of that, so the robust fit path composes the primitives here:
 * :func:`align_channels` — snap per-channel clocks onto one uniform record
   grid, leaving NaN where a sample was dropped (gaps are *never*
   interpolated across; estimators mask them out);
+* :func:`median` — ``np.median``'s exact result from one partition, the
+  median every robust stage takes;
 * :func:`hampel` — median-of-window despiking per contiguous run, the
   standard prefilter for TMU glitches;
 * :func:`irls_lstsq` / :func:`irls_nnls` — iteratively-reweighted least
@@ -40,10 +42,40 @@ HUBER_K = 1.345
 CONFIDENCE_GRADES = ("high", "medium", "low", "prior")
 
 
+def median(values):
+    """``np.median`` along the last axis, bit for bit, from one partition.
+
+    ``np.median`` partitions at the same ``kth`` list (the middle one or
+    two positions, plus ``-1`` so that a NaN, which sorts last, can be
+    seen) and then takes the mean of the middle: that mean starts from
+    ``+0.0``, so a middle of negative zeros comes out ``+0.0``, and a
+    trailing NaN replaces the result.  Doing the same with plain
+    arithmetic skips ``np.median``'s generic reduction machinery, which is
+    most of its cost on the short arrays the robust fit takes medians of.
+    A 1-D input gives a scalar, a 2-D input one median per row; empty
+    input is handed to ``np.median`` itself.
+    """
+    a = np.asarray(values, dtype=float)
+    n = a.shape[-1]
+    if n == 0:
+        return np.median(a, axis=-1)
+    k = n // 2
+    if n % 2:
+        part = np.partition(a, [k, -1], axis=-1)
+        mid = part[..., k] + 0.0
+    else:
+        part = np.partition(a, [k - 1, k, -1], axis=-1)
+        mid = (part[..., k - 1] + part[..., k] + 0.0) / 2.0
+    last = part[..., -1]
+    if a.ndim == 1:
+        return last if last != last else mid
+    return np.where(np.isnan(last), last, mid)
+
+
 def mad(values) -> float:
     """Median absolute deviation (unscaled) of a 1-D array."""
     v = np.asarray(values, dtype=float)
-    return float(np.median(np.abs(v - np.median(v))))
+    return float(median(np.abs(v - median(v))))
 
 
 def robust_scale(residuals) -> float:
@@ -118,8 +150,9 @@ def hampel(
     for width in np.unique(widths):
         lo, hi = np.searchsorted(row_widths, (width, width + 1))
         cols = slice(half - width // 2, half + width // 2 + 1)
-        # np.median, not a sort: it picks the same signed zero on ties.
-        med[lo:hi] = np.median(windows[lo:hi, cols], axis=1)
+        # A partition median, not a sort: it picks the same signed zero on
+        # ties as the per-run np.median.
+        med[lo:hi] = median(windows[lo:hi, cols])
 
     dev = np.abs(v[idx] - med)
     ordered = dev[np.lexsort((dev, run_id))]
@@ -183,7 +216,7 @@ def align_channels(trace, names, dt_s: float | None = None) -> AlignedGrid:
                 "distinct timestamps",
                 channel=names[0],
             )
-        dt_s = float(np.median(positive))
+        dt_s = float(median(positive))
     dt_s = float(dt_s)
     if dt_s <= 0.0:
         raise CalibrationError(f"record period must be positive, got {dt_s}")
@@ -236,10 +269,11 @@ def irls_lstsq(
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     weights = np.ones(a.shape[0])
     for _ in range(int(iters)):
-        scale = max(robust_scale(_residual_norms(y - a @ coef)), min_scale)
+        norms = _residual_norms(y - a @ coef)
+        scale = max(robust_scale(norms), min_scale)
         if scale <= 0.0:
             break
-        weights = huber_weights(_residual_norms(y - a @ coef), scale, k)
+        weights = huber_weights(norms, scale, k)
         sw = np.sqrt(weights)
         ya = a * sw[:, None]
         yy = y * (sw[:, None] if y.ndim == 2 else sw)
@@ -259,10 +293,11 @@ def irls_nnls(
     coef, _ = nnls(a, y)
     weights = np.ones(a.shape[0])
     for _ in range(int(iters)):
-        scale = max(robust_scale(y - a @ coef), min_scale)
+        residuals = y - a @ coef
+        scale = max(robust_scale(residuals), min_scale)
         if scale <= 0.0:
             break
-        weights = huber_weights(np.abs(y - a @ coef), scale, k)
+        weights = huber_weights(np.abs(residuals), scale, k)
         sw = np.sqrt(weights)
         coef, _ = nnls(a * sw[:, None], y * sw)
     return coef, weights

@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import runpy
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -204,8 +207,10 @@ def test_metrics_unknown_app(usage_error):
                 "repro metrics: unknown app 'tiktok'")
 
 
-def test_table_export_dir(capsys, tmp_path, monkeypatch):
-    # Patch the heavy run helpers: the export plumbing is what's under test.
+@pytest.fixture
+def short_table1(monkeypatch):
+    """Table I's runs swapped for one 1 s simulation: the export plumbing
+    is what's under test, not the ten paper-length runs."""
     import repro.experiments.nexus as nexus
     from repro.apps.catalog import make_app
     from repro.kernel.kernel import KernelConfig
@@ -217,6 +222,9 @@ def test_table_export_dir(capsys, tmp_path, monkeypatch):
     sim.run(1.0)
     monkeypatch.setattr(nexus, "table1", lambda seed: [])
     monkeypatch.setattr(nexus, "table1_runs", lambda seed: {"only": sim})
+
+
+def test_table_export_dir(capsys, tmp_path, short_table1):
     main(["table1", "--export-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert f"exported to {tmp_path}" in out
@@ -224,6 +232,20 @@ def test_table_export_dir(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "metrics.prom").exists()
     assert (tmp_path / "events.jsonl").exists()
     assert (tmp_path / "only" / "traces").is_dir()
+
+
+def test_module_entry_point_exports_table1(tmp_path, monkeypatch, short_table1):
+    # `python -m repro table1 --seed 3 --export-dir DIR`: the exit status
+    # comes from repro/__main__.py, and DIR does not exist beforehand.
+    out_dir = tmp_path / "obs"
+    monkeypatch.setattr(sys, "argv", [
+        "repro", "table1", "--seed", "3", "--export-dir", str(out_dir),
+    ])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("repro", run_name="__main__")
+    assert exit_.value.code == 0
+    for name in ("manifest.json", "metrics.prom", "events.jsonl"):
+        assert (out_dir / name).is_file()
 
 
 def test_platforms_list_command(capsys):
